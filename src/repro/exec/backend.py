@@ -1,41 +1,43 @@
 """Pluggable execution backends: where segments actually run.
 
-:class:`ParallelAutomataProcessor.run` models the paper's cycle domain
-faithfully, but *how the host drives the simulation* is a separate
-concern: the seed implementation ran every segment serially inside one
-Python process, so wall-clock numbers understated what simultaneous
-segment execution buys.  This module extracts that choice behind
-:class:`ExecutionBackend`:
+:class:`ParallelAutomataProcessor.run` models the paper's cycle domain;
+*how the host drives the simulation* is a separate concern, extracted
+behind :class:`ExecutionBackend`.  Every backend runs the same segment
+loop, which takes the plans in index order along the Section 3.4
+availability chain.  For each segment it
 
-``SerialBackend``
-    The extracted original behaviour — one in-process
-    :class:`SegmentScheduler`, segments executed in index order.
+1. derives the flow-invalidation inputs (``unit_truth``, ``fiv_time``)
+   from the composed predecessor;
+2. loads the segment's result from the run's checkpoint when there is
+   one, and otherwise executes it one *attempt* at a time under the
+   run's :class:`~repro.exec.resilience.RetryPolicy`, writing the
+   result through;
+3. composes the result on the host and advances the FIV chain.
+
+A backend supplies only the attempt, ``attempt(plan, truth, fiv_time)``:
+
+``SerialBackend`` / ``VectorBackend``
+    Attempts run in process on one :class:`SegmentScheduler`, stepping
+    flows by set walk or by bit-parallel vector lookups.
 
 ``ProcessPoolBackend``
-    Host-parallel execution: each ``run_segment`` call is dispatched to
-    a worker process via :class:`concurrent.futures.ProcessPoolExecutor`
-    (spawn-safe — see :mod:`repro.exec.worker`).  Dispatch is
-    dependency-aware:
+    Attempts run on a worker of a
+    :class:`concurrent.futures.ProcessPoolExecutor` (spawn-safe, see
+    :mod:`repro.exec.worker`).  With ``use_fiv=True`` a segment needs
+    its predecessor's composed result, so it is dispatched when the
+    loop reaches it.  With ``use_fiv=False`` no segment's *execution*
+    depends on another's (truth only matters at composition), so a
+    *dispatch-ahead window* of first attempts is filled before the loop
+    (bounded by the admission guard's ``max_inflight``, skipping
+    checkpointed segments) and topped up after each success; the loop
+    collects each dispatch when it reaches that segment.
 
-    * with ``use_fiv=False`` every enumerated segment is independent of
-      its predecessors' *execution* (truth only matters at composition
-      time), so all segments run concurrently;
-    * with ``use_fiv=True`` a segment's flow-invalidation inputs
-      (``unit_truth``, ``fiv_time``) come from its predecessor's
-      completed, composed result, so the pool pipelines the Section 3.4
-      availability chain — each segment is dispatched the moment its
-      inputs resolve.
-
-Distributed execution made segments *fallible*, so both backends wrap
-each segment in the :mod:`repro.exec.resilience` recovery driver: a
-failed attempt (worker crash, dispatch timeout, transient error —
-injected or real) is re-executed under the run's
-:class:`~repro.exec.resilience.RetryPolicy`, and after
-``downgrade_after`` consecutive process-backend failures the process
-backend *degrades gracefully* to in-process execution for the
-remaining segments instead of failing the run.  Re-dispatch is ordered:
-a retried segment re-enters the Section 3.4 availability chain with
-the same composed-predecessor inputs, so recovery is bit-exact.
+Recovery: a failed attempt (worker crash, dispatch timeout, transient
+error, injected or real) is retried with the same composed-predecessor
+inputs, so recovery is bit-exact.  On the process backend, repeated
+failures step the rebuilt pool down, feed an optional circuit breaker,
+and after ``downgrade_after`` consecutive failures degrade the run to
+in-process attempts for the remaining segments instead of failing it.
 
 **Bit-exactness contract**: for any automaton, input, and configuration,
 every backend — including any recovered or degraded run — produces
@@ -50,6 +52,7 @@ and it is what produces each segment's ``previous_matched`` dependency.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import time
@@ -101,9 +104,10 @@ from repro.exec.resilience import (
     RetryPolicy,
     RunHealth,
     TRACK_EXEC,
+    exec_event,
     run_with_retry,
 )
-from repro.exec.worker import RunPayload, run_segment_task
+from repro.exec.worker import RunPayload, run_segment_task, warm_up
 from repro.host.decode import false_path_decode_cycles
 from repro.obs.phases import PHASE_COMPOSE
 from repro.obs.tracer import NULL_OBSERVER, TRACK_HOST, Observer
@@ -111,6 +115,10 @@ from repro.obs.tracer import NULL_OBSERVER, TRACK_HOST, Observer
 #: The spellable backend names accepted by :func:`resolve_backend` (and
 #: the CLI's ``--backend`` flag).
 BACKEND_NAMES = ("serial", "process", "vector")
+
+#: One execution attempt of a segment: ``attempt(plan, unit_truth,
+#: fiv_time)`` returns its result or raises.
+Attempt = Callable[[SegmentPlan, dict[int, bool], "int | None"], SegmentResult]
 
 
 @dataclass(frozen=True)
@@ -128,14 +136,14 @@ class ExecutionContext:
     health: RunHealth = field(default_factory=RunHealth)
     checkpoint: CheckpointRun | None = None
     """Durable segment-result store for this run (``None`` = no
-    checkpointing).  Backends consult it before executing a segment and
-    write through after each success (see :mod:`repro.exec.durability`)."""
+    checkpointing).  The segment loop consults it before executing a
+    segment and writes through after each success (see
+    :mod:`repro.exec.durability`)."""
     max_inflight: int | None = None
     """Admission-guard bound on concurrently in-flight segment
-    dispatches (``None`` = unbounded).  Consumed by the process
-    backend's independent (no-FIV) path, which otherwise prefetches
-    every segment at once; serial execution is inherently one segment
-    at a time."""
+    dispatches (``None`` = unbounded).  Caps the process backend's
+    dispatch-ahead window (no-FIV runs); serial execution is inherently
+    one segment at a time."""
 
 
 @dataclass(frozen=True)
@@ -157,27 +165,29 @@ def _draw_fault(
         return None
     kind = ctx.injector.draw(index, infrastructure=infrastructure)
     if kind is not None:
-        obs = ctx.observer
-        obs.metrics.counter("exec.faults_injected").inc()
-        if obs.enabled:
-            obs.instant(
-                "fault-injected",
-                track=TRACK_EXEC,
-                args={"segment": index, "kind": kind},
-            )
+        exec_event(
+            ctx.observer,
+            "exec.faults_injected",
+            "fault-injected",
+            {"segment": index, "kind": kind},
+        )
     return kind
 
 
 class ExecutionBackend:
     """Strategy interface: run all segments of one planned input.
 
-    Subclasses implement :meth:`execute`; the shared helpers below keep
-    the host-side dependency chain (unit truth, FIV timing, composition)
-    identical across backends, which is what makes the bit-exactness
-    contract cheap to uphold.
+    Subclasses implement :meth:`execute` by handing :meth:`_run` an
+    attempt function; the loop keeps the host-side dependency chain
+    (unit truth, FIV timing, checkpoints, composition) identical across
+    backends, which is what makes the bit-exactness contract cheap to
+    uphold.
     """
 
     name = "abstract"
+    #: Flow-stepping strategy of in-process attempts (see
+    #: :data:`repro.core.scheduler.STRATEGY_NAMES`).
+    strategy = "set"
 
     def execute(
         self,
@@ -196,6 +206,91 @@ class ExecutionBackend:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    # -- the segment loop -------------------------------------------------
+
+    def _run(
+        self,
+        ctx: ExecutionContext,
+        plans: tuple[SegmentPlan, ...],
+        attempt: Attempt,
+        *,
+        on_success: Callable[[], None] | None = None,
+    ) -> list[SegmentOutcome]:
+        """Walk the availability chain: inputs, result, composition.
+
+        A segment with a checkpointed result is never attempted;
+        otherwise ``attempt`` runs under the retry policy, the result is
+        written through, and ``on_success`` fires.
+        """
+        outcomes: list[SegmentOutcome] = []
+        previous_matched: frozenset[int] = frozenset()
+        fiv_chain = 0
+        for plan in plans:
+            truth, fiv_time = self._segment_inputs(
+                ctx, plan, previous_matched, fiv_chain
+            )
+            result = self._checkpoint_load(ctx, plan)
+            if result is None:
+                result = run_with_retry(
+                    ctx.retry,
+                    ctx.health,
+                    ctx.observer,
+                    plan.segment.index,
+                    lambda: attempt(plan, truth, fiv_time),
+                )
+                self._checkpoint_store(ctx, plan, result)
+                if on_success is not None:
+                    on_success()
+            outcome = self._compose(ctx, result, truth)
+            fiv_chain = (
+                max(fiv_chain, result.metrics.finish_cycles)
+                + outcome.decode_cycles
+            )
+            previous_matched = outcome.composed.final_matched
+            outcomes.append(outcome)
+        return outcomes
+
+    def _inline(
+        self,
+        ctx: ExecutionContext,
+        data: bytes,
+        *,
+        infrastructure: bool = True,
+    ) -> Attempt:
+        """The in-process attempt, on one scheduler of this strategy.
+
+        A single process can only *model* worker faults: crash and hang
+        raise their matching errors (``infrastructure=False``, after a
+        process-backend downgrade, suppresses them: no workers are
+        left), a straggler delays and then executes normally, and every
+        other kind raises its transient error.
+        """
+        scheduler = SegmentScheduler(
+            ctx.compiled,
+            ctx.analysis,
+            ctx.config,
+            ctx.path_independent,
+            observer=ctx.observer,
+            strategy=self.strategy,
+        )
+
+        def attempt(
+            plan: SegmentPlan, truth: dict[int, bool], fiv_time: int | None
+        ) -> SegmentResult:
+            index = plan.segment.index
+            fault = _draw_fault(ctx, index, infrastructure=infrastructure)
+            if fault == STRAGGLER:
+                assert ctx.injector is not None
+                time.sleep(ctx.injector.plan.straggler_s)
+            elif fault is not None:
+                raise_fault(fault, index)
+            ctx.observer.metrics.counter("exec.dispatches").inc()
+            return scheduler.run_segment(
+                data, plan, unit_truth=truth, fiv_time=fiv_time
+            )
+
+        return attempt
 
     # -- shared host-side steps -------------------------------------------
 
@@ -263,15 +358,12 @@ class ExecutionBackend:
         if ctx.checkpoint is None:
             return None
         result = ctx.checkpoint.load(plan)
-        if result is None:
-            return None
-        obs = ctx.observer
-        obs.metrics.counter("exec.checkpoint.hits").inc()
-        if obs.enabled:
-            obs.instant(
+        if result is not None:
+            exec_event(
+                ctx.observer,
+                "exec.checkpoint.hits",
                 "checkpoint-hit",
-                track=TRACK_EXEC,
-                args={"segment": plan.segment.index},
+                {"segment": plan.segment.index},
             )
         return result
 
@@ -288,32 +380,25 @@ class ExecutionBackend:
             else False
         )
         ctx.checkpoint.record(plan, result, corrupt=corrupt)
-        obs = ctx.observer
-        obs.metrics.counter("exec.checkpoint.writes").inc()
-        if obs.enabled:
-            obs.instant(
-                "checkpoint-write",
-                track=TRACK_EXEC,
-                args={"segment": plan.segment.index, "corrupt": corrupt},
-            )
+        exec_event(
+            ctx.observer,
+            "exec.checkpoint.writes",
+            "checkpoint-write",
+            {"segment": plan.segment.index, "corrupt": corrupt},
+        )
 
 
 class SerialBackend(ExecutionBackend):
-    """The original in-process behaviour, extracted verbatim from
-    ``ParallelAutomataProcessor.run``: one scheduler, segments executed
-    in index order, composition interleaved segment to segment.
+    """The original in-process behaviour: one scheduler, segments
+    executed in index order, composition interleaved segment to segment.
 
     Recovery: retryable failures (which in-process means injected
-    faults modeled as their matching errors — a single process can only
-    *model* worker crashes and hangs) re-execute the segment under the
-    run's :class:`~repro.exec.resilience.RetryPolicy`.  Re-execution is
-    deterministic, so a recovered run is bit-exact.
+    faults modeled as their matching errors) re-execute the segment
+    under the run's :class:`~repro.exec.resilience.RetryPolicy`.
+    Re-execution is deterministic, so a recovered run is bit-exact.
     """
 
     name = "serial"
-    #: Flow-stepping strategy handed to the scheduler (see
-    #: :data:`repro.core.scheduler.STRATEGY_NAMES`).
-    strategy = "set"
 
     def execute(
         self,
@@ -324,59 +409,7 @@ class SerialBackend(ExecutionBackend):
         obs = ctx.observer
         if obs.enabled and plans:
             obs.metrics.gauge("exec.workers").set(1)
-        scheduler = SegmentScheduler(
-            ctx.compiled,
-            ctx.analysis,
-            ctx.config,
-            ctx.path_independent,
-            observer=obs,
-            strategy=self.strategy,
-        )
-        outcomes: list[SegmentOutcome] = []
-        previous_matched: frozenset[int] = frozenset()
-        fiv_chain = 0
-        for plan in plans:
-            truth, fiv_time = self._segment_inputs(
-                ctx, plan, previous_matched, fiv_chain
-            )
-            index = plan.segment.index
-
-            def attempt(
-                plan: SegmentPlan = plan,
-                truth: dict[int, bool] = truth,
-                fiv_time: int | None = fiv_time,
-                index: int = index,
-            ) -> SegmentResult:
-                fault = _draw_fault(ctx, index)
-                if fault == STRAGGLER:
-                    # In-process model of a slow segment: delay, then
-                    # execute normally (there is nothing to hedge
-                    # against without a pool).
-                    assert ctx.injector is not None
-                    time.sleep(ctx.injector.plan.straggler_s)
-                elif fault is not None:
-                    raise_fault(fault, index)
-                obs.metrics.counter("exec.dispatches").inc()
-                if plan.is_golden:
-                    return scheduler.run_segment(data, plan)
-                return scheduler.run_segment(
-                    data, plan, unit_truth=truth, fiv_time=fiv_time
-                )
-
-            result = self._checkpoint_load(ctx, plan)
-            if result is None:
-                result = run_with_retry(
-                    ctx.retry, ctx.health, obs, index, attempt
-                )
-                self._checkpoint_store(ctx, plan, result)
-            outcome = self._compose(ctx, result, truth)
-            fiv_chain = (
-                max(fiv_chain, result.metrics.finish_cycles)
-                + outcome.decode_cycles
-            )
-            previous_matched = outcome.composed.final_matched
-            outcomes.append(outcome)
-        return outcomes
+        return self._run(ctx, plans, self._inline(ctx, data))
 
 
 class VectorBackend(SerialBackend):
@@ -402,11 +435,10 @@ class VectorBackend(SerialBackend):
 class _RecoveryState:
     """Per-run degradation tracking for :class:`ProcessPoolBackend`.
 
-    Counts *consecutive* failed dispatch attempts across the run; when
-    they reach the policy's ``downgrade_after``, the run degrades to
-    in-process execution for every remaining attempt and segment — the
-    worker pool is torn down and a lazily built local scheduler takes
-    over, so the run finishes instead of failing.
+    Counts *consecutive* failed attempts across the run; when they reach
+    the policy's ``downgrade_after``, the run degrades to in-process
+    attempts for every remaining segment — the worker pool is torn down
+    so the run finishes instead of failing.
 
     Two escalation paths run alongside (see
     :mod:`repro.exec.durability`): consecutive *infrastructure*
@@ -420,86 +452,42 @@ class _RecoveryState:
     """
 
     def __init__(
-        self, backend: "ProcessPoolBackend", ctx: ExecutionContext, data: bytes
+        self, backend: "ProcessPoolBackend", ctx: ExecutionContext
     ) -> None:
         self.backend = backend
         self.ctx = ctx
-        self.data = data
         self.consecutive = 0
         self.downgraded = False
         self.samples: list[float] = []
-        self._scheduler: SegmentScheduler | None = None
-
-    def scheduler(self) -> SegmentScheduler:
-        if self._scheduler is None:
-            ctx = self.ctx
-            self._scheduler = SegmentScheduler(
-                ctx.compiled,
-                ctx.analysis,
-                ctx.config,
-                ctx.path_independent,
-                observer=ctx.observer,
-            )
-        return self._scheduler
-
-    def run_inline(
-        self,
-        plan: SegmentPlan,
-        truth: dict[int, bool] | None,
-        fiv_time: int | None,
-    ) -> SegmentResult:
-        """One post-downgrade in-process attempt (serial semantics).
-
-        Worker-level faults (crash, hang) no longer apply — there are
-        no workers — but segment-level faults still fire, and the
-        enclosing retry loop still recovers them.
-        """
-        ctx = self.ctx
-        index = plan.segment.index
-        fault = _draw_fault(ctx, index, infrastructure=False)
-        if fault == STRAGGLER:
-            assert ctx.injector is not None
-            time.sleep(ctx.injector.plan.straggler_s)
-        elif fault is not None:
-            raise_fault(fault, index)
-        ctx.observer.metrics.counter("exec.dispatches").inc()
-        if plan.is_golden:
-            return self.scheduler().run_segment(self.data, plan)
-        return self.scheduler().run_segment(
-            self.data, plan, unit_truth=truth, fiv_time=fiv_time
-        )
 
     def note_failure(self, plan: SegmentPlan, error: BaseException) -> None:
         self.consecutive += 1
-        ctx = self.ctx
-        infrastructure = isinstance(
-            error, (WorkerCrashError, SegmentTimeoutError)
-        )
-        if infrastructure and not self.downgraded:
+        if self.downgraded:
+            return
+        if isinstance(error, (WorkerCrashError, SegmentTimeoutError)):
             self._step_down_workers(plan, error)
             breaker = self.backend.breaker
             if breaker is not None:
                 opened = breaker.record_failure(error)
-                self.backend._note_breaker(ctx, opened_at=plan, opened=opened)
-                if opened and not self.downgraded:
+                self.backend._note_breaker(
+                    self.ctx, opened_at=plan, opened=opened
+                )
+                if opened:
                     # Fast-fail the rest of the run instead of another
                     # pool rebuild; later runs fast-fail up front until
                     # the cooldown half-opens the breaker.
-                    self._downgrade(
-                        plan, error, reason=f"breaker open: {breaker.reason}"
+                    self.downgrade(
+                        plan, f"breaker open: {breaker.reason}", error
                     )
                     return
-        limit = ctx.retry.downgrade_after
-        if self.downgraded or limit is None or self.consecutive < limit:
-            return
-        self._downgrade(
-            plan,
-            error,
-            reason=(
+        limit = self.ctx.retry.downgrade_after
+        if limit is not None and self.consecutive >= limit:
+            self.downgrade(
+                plan,
                 f"{self.consecutive} consecutive process-backend failures "
-                f"(last: {type(error).__name__})"
-            ),
-        )
+                f"(last: {type(error).__name__})",
+                error,
+            )
 
     def _step_down_workers(
         self, plan: SegmentPlan, error: BaseException
@@ -527,44 +515,41 @@ class _RecoveryState:
                 "error": type(error).__name__,
             }
         )
-        obs = ctx.observer
-        obs.metrics.counter("exec.worker_stepdowns").inc()
-        if obs.enabled:
-            obs.metrics.gauge("exec.workers").set(stepped)
-            obs.instant(
-                "worker-stepdown",
-                track=TRACK_EXEC,
-                args={
-                    "segment": plan.segment.index,
-                    "workers": stepped,
-                    "consecutive_failures": self.consecutive,
-                    "error": type(error).__name__,
-                },
-            )
+        ctx.observer.metrics.gauge("exec.workers").set(stepped)
+        exec_event(
+            ctx.observer,
+            "exec.worker_stepdowns",
+            "worker-stepdown",
+            {
+                "segment": plan.segment.index,
+                "workers": stepped,
+                "consecutive_failures": self.consecutive,
+                "error": type(error).__name__,
+            },
+        )
 
-    def _downgrade(
-        self, plan: SegmentPlan, error: BaseException, *, reason: str
+    def downgrade(
+        self,
+        plan: SegmentPlan,
+        reason: str,
+        error: BaseException | None = None,
     ) -> None:
+        """Switch the rest of the run to in-process attempts."""
         self.downgraded = True
         ctx = self.ctx
         health = ctx.health
         health.downgraded = True
         health.downgraded_at_segment = plan.segment.index
         health.downgrade_reason = reason
-        obs = ctx.observer
-        obs.metrics.counter("exec.downgrades").inc()
-        if obs.enabled:
-            obs.instant(
-                "backend-downgrade",
-                track=TRACK_EXEC,
-                args={
-                    "segment": plan.segment.index,
-                    "consecutive_failures": self.consecutive,
-                    "error": type(error).__name__,
-                    "reason": reason,
-                },
-            )
-            obs.metrics.gauge("exec.workers").set(1)
+        args: dict[str, object] = {
+            "segment": plan.segment.index,
+            "consecutive_failures": self.consecutive,
+        }
+        if error is not None:
+            args["error"] = type(error).__name__
+        args["reason"] = reason
+        exec_event(ctx.observer, "exec.downgrades", "backend-downgrade", args)
+        ctx.observer.metrics.gauge("exec.workers").set(1)
         # Workers are no longer needed; reclaim them without waiting on
         # whatever broke them.
         self.backend._teardown(wait=False)
@@ -597,7 +582,10 @@ class ProcessPoolBackend(ExecutionBackend):
     The pool is created lazily on first use and *reused across runs* (a
     warmup pass through :func:`repro.perf.measure.measure_wall` therefore
     also warms the pool), so callers owning a backend instance should
-    :meth:`close` it — or use it as a context manager — when done.
+    :meth:`close` it — or use it as a context manager — when done.  A
+    freshly built pool runs one no-op task before its first dispatch, so
+    worker start-up is recorded as ``exec.pool_cold_start_ms`` rather
+    than charged against a segment's dispatch timeout.
 
     Recovery: a broken pool (worker crash) or a tripped per-segment
     dispatch timeout tears the executor down *without waiting* (a hung
@@ -643,11 +631,25 @@ class ProcessPoolBackend(ExecutionBackend):
 
     # -- pool lifecycle ---------------------------------------------------
 
-    def _pool(self) -> ProcessPoolExecutor:
+    def _pool(self, obs: Observer) -> ProcessPoolExecutor:
+        """The live executor, built and warmed on first use.
+
+        A spawned worker's first task pays interpreter start-up and the
+        import of :mod:`repro.exec.worker`.  Waiting out one no-op task
+        here keeps that cold start out of the first dispatch's timeout
+        and hedging samples.
+        """
         if self._executor is None:
+            start = perf_counter_ns()
             self._executor = ProcessPoolExecutor(
                 max_workers=self._dispatch_workers,
                 mp_context=multiprocessing.get_context(self._mp_context),
+            )
+            self._executor.submit(warm_up).result()
+            exec_event(
+                obs,
+                "exec.pool_cold_start_ms",
+                observe=(perf_counter_ns() - start) / 1e6,
             )
         return self._executor
 
@@ -680,21 +682,18 @@ class ProcessPoolBackend(ExecutionBackend):
         health = ctx.health
         health.breaker_state = breaker.state
         health.breaker_reason = breaker.reason
-        obs = ctx.observer
-        obs.metrics.gauge("breaker.state").set(breaker.state_code)
-        if opened:
-            obs.metrics.counter("breaker.opens").inc()
-        if obs.enabled:
-            args: dict[str, object] = {"state": breaker.state}
-            if opened_at is not None:
-                args["segment"] = opened_at.segment.index
-            if breaker.reason is not None:
-                args["reason"] = breaker.reason
-            obs.instant(
-                "breaker-open" if opened else "breaker-state",
-                track=TRACK_EXEC,
-                args=args,
-            )
+        ctx.observer.metrics.gauge("breaker.state").set(breaker.state_code)
+        args: dict[str, object] = {"state": breaker.state}
+        if opened_at is not None:
+            args["segment"] = opened_at.segment.index
+        if breaker.reason is not None:
+            args["reason"] = breaker.reason
+        exec_event(
+            ctx.observer,
+            "breaker.opens" if opened else None,
+            "breaker-open" if opened else "breaker-state",
+            args,
+        )
 
     # -- dispatch ---------------------------------------------------------
 
@@ -706,28 +705,16 @@ class ProcessPoolBackend(ExecutionBackend):
         plan: SegmentPlan,
         truth: dict[int, bool] | None,
         fiv_time: int | None,
-        fault: str | None = None,
     ) -> tuple[Future, int]:
+        """Draw this attempt's fault and ship the segment to a worker."""
         index = plan.segment.index
-        if fault is not None and fault in HOST_KINDS:
+        fault = _draw_fault(ctx, index)
+        if fault in HOST_KINDS:
             # Host-side faults (FIV-write failure) happen before any
             # dispatch: the FIV never reaches the segment.
             raise_fault(fault, index)
         obs = ctx.observer
         obs.metrics.counter("exec.dispatches").inc()
-        span_args = {
-            "kind": "golden" if plan.is_golden else "enumerated",
-            "flows": len(plan.flows),
-        }
-        if obs.run_id is not None:
-            # Correlate worker events with the run's ledger: every
-            # dispatch span names the flight recorder's run id.
-            span_args["run"] = obs.run_id
-        span = obs.begin_span(
-            f"dispatch[{index}]",
-            track=TRACK_EXEC,
-            args=span_args,
-        )
         worker_fault = None
         if fault is not None and ctx.injector is not None:
             # hang and straggler both ship a sleep; only its magnitude
@@ -740,7 +727,19 @@ class ProcessPoolBackend(ExecutionBackend):
             )
             worker_fault = (fault, delay)
         try:
-            future = self._pool().submit(
+            pool = self._pool(obs)
+            span_args = {
+                "kind": "golden" if plan.is_golden else "enumerated",
+                "flows": len(plan.flows),
+            }
+            if obs.run_id is not None:
+                # Correlate worker events with the run's ledger: every
+                # dispatch span names the flight recorder's run id.
+                span_args["run"] = obs.run_id
+            span = obs.begin_span(
+                f"dispatch[{index}]", track=TRACK_EXEC, args=span_args
+            )
+            future = pool.submit(
                 run_segment_task,
                 token,
                 payload,
@@ -763,34 +762,31 @@ class ProcessPoolBackend(ExecutionBackend):
     def _collect(
         self,
         ctx: ExecutionContext,
-        future: Future,
-        span: int,
+        state: _RecoveryState,
         plan: SegmentPlan,
-        *,
-        redispatch: Callable[[], tuple[Future, int]] | None = None,
-        state: "_RecoveryState | None" = None,
+        dispatch: tuple[Future, int],
+        redispatch: Callable[[], tuple[Future, int]],
     ) -> SegmentResult:
         """Wait out one dispatch, hedging it if it straggles.
 
-        With a :class:`HedgePolicy` attached and a ``redispatch``
-        closure available, a dispatch still outstanding past the
-        MAD-based threshold over this run's completed dispatch walls is
-        speculatively re-submitted; whichever copy finishes first wins
-        and the loser is cancelled.  Both copies compute the same pure
-        function of the same inputs, so first-winner selection cannot
-        change the cycle domain.  The per-segment dispatch timeout, when
-        set, still bounds the *total* wait including the hedge.
+        With a :class:`HedgePolicy` attached, a dispatch still
+        outstanding past the MAD-based threshold over this run's
+        completed dispatch walls is speculatively re-submitted through
+        ``redispatch``; whichever copy finishes first wins and the loser
+        is cancelled.  Both copies compute the same pure function of the
+        same inputs, so first-winner selection cannot change the cycle
+        domain.  The per-segment dispatch timeout, when set, still
+        bounds the *total* wait including the hedge.
         """
         obs = ctx.observer
         index = plan.segment.index
         timeout = ctx.retry.segment_timeout_s
-        policy = self.hedge if redispatch is not None else None
+        policy = self.hedge
         start = time.monotonic()
         threshold = (
-            policy.threshold_s(state.samples)
-            if policy is not None and state is not None
-            else None
+            policy.threshold_s(state.samples) if policy is not None else None
         )
+        future, span = dispatch
         outstanding: dict[Future, int] = {future: span}
         hedged = False
         task_result = None
@@ -821,16 +817,15 @@ class ProcessPoolBackend(ExecutionBackend):
                         hedge_future, hedge_span = redispatch()
                         outstanding[hedge_future] = hedge_span
                         ctx.health.hedges += 1
-                        obs.metrics.counter("exec.hedges").inc()
-                        if obs.enabled:
-                            obs.instant(
-                                "segment-hedged",
-                                track=TRACK_EXEC,
-                                args={
-                                    "segment": index,
-                                    "threshold_ms": threshold * 1e3,
-                                },
-                            )
+                        exec_event(
+                            obs,
+                            "exec.hedges",
+                            "segment-hedged",
+                            {
+                                "segment": index,
+                                "threshold_ms": threshold * 1e3,
+                            },
+                        )
                     continue
                 # Prefer the primary when both land in the same wait
                 # slice; either result is bit-exact.
@@ -890,15 +885,13 @@ class ProcessPoolBackend(ExecutionBackend):
             ctx.health.hedge_wins.append(
                 {"segment": index, "waited_ms": waited_ms}
             )
-            obs.metrics.counter("exec.hedge_wins").inc()
-            if obs.enabled:
-                obs.instant(
-                    "hedge-win",
-                    track=TRACK_EXEC,
-                    args={"segment": index, "waited_ms": waited_ms},
-                )
-        if state is not None:
-            state.samples.append(time.monotonic() - start)
+            exec_event(
+                obs,
+                "exec.hedge_wins",
+                "hedge-win",
+                {"segment": index, "waited_ms": waited_ms},
+            )
+        state.samples.append(time.monotonic() - start)
         obs.end_span(
             winner_span,
             args={
@@ -939,197 +932,74 @@ class ProcessPoolBackend(ExecutionBackend):
             path_independent=ctx.path_independent,
             data=data,
         )
-        state = _RecoveryState(self, ctx, data)
+        state = _RecoveryState(self, ctx)
         if self.breaker is not None and not self.breaker.allow():
             # Open breaker: fast-fail straight to in-process execution —
             # no pool build, no per-segment failure churn.  RunHealth
             # carries the reason code.
-            state.downgraded = True
-            health = ctx.health
-            health.downgraded = True
-            health.downgraded_at_segment = plans[0].segment.index
-            health.downgrade_reason = (
-                f"breaker open: {self.breaker.reason}"
-            )
             obs.metrics.counter("breaker.fastfails").inc()
+            state.downgrade(plans[0], f"breaker open: {self.breaker.reason}")
             self._note_breaker(ctx, opened_at=plans[0], opened=False)
-        outcomes: list[SegmentOutcome] = []
-        previous_matched: frozenset[int] = frozenset()
-        if ctx.config.use_fiv:
-            # Section 3.4 availability chain: segment j+1's FIV inputs
-            # need segment j's composed result, so dispatch pipelines
-            # along the chain — each segment enters the pool the moment
-            # its inputs resolve.  A retried segment re-enters the chain
-            # with the same composed-predecessor inputs (ordered
-            # re-dispatch), so recovery is bit-exact.
-            fiv_chain = 0
-            for plan in plans:
-                truth, fiv_time = self._segment_inputs(
-                    ctx, plan, previous_matched, fiv_chain
-                )
-                index = plan.segment.index
 
-                def attempt(
-                    plan: SegmentPlan = plan,
-                    truth: dict[int, bool] = truth,
-                    fiv_time: int | None = fiv_time,
-                    index: int = index,
-                ) -> SegmentResult:
-                    if state.downgraded:
-                        return state.run_inline(plan, truth, fiv_time)
-                    fault = _draw_fault(ctx, index)
-                    future, span = self._submit(
-                        ctx, token, payload, plan, truth, fiv_time, fault
-                    )
+        submit = functools.partial(self._submit, ctx, token, payload)
+        # Dispatch-ahead window (no-FIV only): first attempts already in
+        # flight, keyed by segment index.  A dispatch that failed on the
+        # host is kept as its error and surfaces as that segment's first
+        # failed attempt when the loop reaches it.
+        window: dict[int, tuple[Future, int] | BaseException] = {}
+        limit = ctx.max_inflight if (ctx.max_inflight or 0) > 0 else None
+        ahead = iter(
+            ()
+            if ctx.config.use_fiv
+            else [
+                plan
+                for plan in plans
+                if ctx.checkpoint is None or not ctx.checkpoint.has(plan)
+            ]
+        )
 
-                    def redispatch() -> tuple[Future, int]:
+        def top_up() -> None:
+            while not state.downgraded and (
+                limit is None or len(window) < limit
+            ):
+                plan = next(ahead, None)
+                if plan is None:
+                    return
+                try:
+                    window[plan.segment.index] = submit(plan, None, None)
+                except RETRYABLE_ERRORS as error:
+                    window[plan.segment.index] = error
+
+        inline = self._inline(ctx, data, infrastructure=False)
+
+        def attempt(
+            plan: SegmentPlan, truth: dict[int, bool], fiv_time: int | None
+        ) -> SegmentResult:
+            entry = window.pop(plan.segment.index, None)
+            try:
+                if entry is None and state.downgraded:
+                    result = inline(plan, truth, fiv_time)
+                elif isinstance(entry, BaseException):
+                    raise entry
+                else:
+                    result = self._collect(
+                        ctx,
+                        state,
+                        plan,
+                        entry or submit(plan, truth, fiv_time),
                         # A hedge is a fresh attempt to the injector:
                         # seeded first-attempt faults do not re-fire on
                         # the speculative copy.
-                        hedge_fault = _draw_fault(ctx, index)
-                        return self._submit(
-                            ctx,
-                            token,
-                            payload,
-                            plan,
-                            truth,
-                            fiv_time,
-                            hedge_fault,
-                        )
-
-                    return self._collect(
-                        ctx,
-                        future,
-                        span,
-                        plan,
-                        redispatch=redispatch,
-                        state=state,
+                        lambda: submit(plan, truth, fiv_time),
                     )
-
-                result = self._checkpoint_load(ctx, plan)
-                if result is None:
-                    result = run_with_retry(
-                        ctx.retry,
-                        ctx.health,
-                        obs,
-                        index,
-                        attempt,
-                        on_failure=lambda error, plan=plan: state.note_failure(
-                            plan, error
-                        ),
-                    )
-                    state.note_success()
-                    self._checkpoint_store(ctx, plan, result)
-                outcome = self._compose(ctx, result, truth)
-                fiv_chain = (
-                    max(fiv_chain, result.metrics.finish_cycles)
-                    + outcome.decode_cycles
-                )
-                previous_matched = outcome.composed.final_matched
-                outcomes.append(outcome)
-            return outcomes
-        # Without the FIV no segment's *execution* depends on another —
-        # enumeration truth only matters at composition time — so every
-        # segment's first attempt is dispatched up front and composition
-        # chains afterwards.  Failures re-enter the retry loop one
-        # segment at a time and re-dispatch on a rebuilt pool.  Already
-        # checkpointed segments are never dispatched, and an admission
-        # bound (``ctx.max_inflight``) turns the all-at-once prefetch
-        # into waves: at most that many dispatches are outstanding.
-        limit = ctx.max_inflight if (ctx.max_inflight or 0) > 0 else None
-        prefetched: dict[int, tuple[Future, int] | BaseException] = {}
-        to_submit = [
-            plan
-            for plan in plans
-            if ctx.checkpoint is None or not ctx.checkpoint.has(plan)
-        ]
-
-        def pump() -> None:
-            """Top the outstanding-dispatch window back up."""
-            while (
-                to_submit
-                and not state.downgraded
-                and (limit is None or len(prefetched) < limit)
-            ):
-                plan = to_submit.pop(0)
-                index = plan.segment.index
-                try:
-                    fault = _draw_fault(ctx, index)
-                    prefetched[index] = self._submit(
-                        ctx, token, payload, plan, None, None, fault
-                    )
-                except RETRYABLE_ERRORS as error:
-                    # Surfaces as this segment's attempt-1 failure when
-                    # its turn to collect comes.
-                    prefetched[index] = error
-
-        pump()
-        results: list[SegmentResult] = []
-        for plan in plans:
-            index = plan.segment.index
-            cached = self._checkpoint_load(ctx, plan)
-            if cached is not None:
-                results.append(cached)
-                continue
-
-            def attempt(
-                plan: SegmentPlan = plan, index: int = index
-            ) -> SegmentResult:
-                entry = prefetched.pop(index, None)
-                if plan in to_submit:
-                    # Its wave never came up (bounded window): this
-                    # attempt dispatches it directly instead.
-                    to_submit.remove(plan)
-                if isinstance(entry, BaseException):
-                    raise entry
-                if entry is None:
-                    if state.downgraded:
-                        return state.run_inline(plan, None, None)
-                    fault = _draw_fault(ctx, index)
-                    entry = self._submit(
-                        ctx, token, payload, plan, None, None, fault
-                    )
-                future, span = entry
-
-                def redispatch() -> tuple[Future, int]:
-                    hedge_fault = _draw_fault(ctx, index)
-                    return self._submit(
-                        ctx, token, payload, plan, None, None, hedge_fault
-                    )
-
-                return self._collect(
-                    ctx,
-                    future,
-                    span,
-                    plan,
-                    redispatch=redispatch,
-                    state=state,
-                )
-
-            result = run_with_retry(
-                ctx.retry,
-                ctx.health,
-                obs,
-                index,
-                attempt,
-                on_failure=lambda error, plan=plan: state.note_failure(
-                    plan, error
-                ),
-            )
+            except RETRYABLE_ERRORS as error:
+                state.note_failure(plan, error)
+                raise
             state.note_success()
-            self._checkpoint_store(ctx, plan, result)
-            results.append(result)
-            pump()
-        for plan, result in zip(plans, results):
-            truth = (
-                {}
-                if plan.is_golden
-                else unit_truth_map(plan.flows, previous_matched)
-            )
-            outcome = self._compose(ctx, result, truth)
-            previous_matched = outcome.composed.final_matched
-            outcomes.append(outcome)
-        return outcomes
+            return result
+
+        top_up()
+        return self._run(ctx, plans, attempt, on_success=top_up)
 
 
 def resolve_backend(

@@ -4,12 +4,12 @@ The recovery contract rests on the AP's deterministic cycle model: a
 segment's cycle-domain outcome depends only on (automaton, config,
 input, plan, FIV inputs), so re-executing a failed segment is *bit
 exact* — recovery can be verified against a fault-free run, not just
-hoped for.  :func:`run_with_retry` is the shared driver both backends
-wrap around one segment's execution attempts; :class:`RetryPolicy`
-bounds it (attempt budget, capped exponential backoff, wall deadline,
-per-segment dispatch timeout); :class:`RunHealth` records what
-actually happened so ``PAPRunResult.extra["health"]`` and the
-``exec.*`` metrics can surface it.
+hoped for.  :func:`run_with_retry` runs each segment's attempts for
+the one segment loop of :mod:`repro.exec.backend`;
+:class:`RetryPolicy` bounds it (attempt budget, capped exponential
+backoff, wall deadline, per-segment dispatch timeout); :class:`RunHealth`
+records what actually happened so ``PAPRunResult.extra["health"]`` and
+the ``exec.*`` metrics can surface it.
 """
 
 from __future__ import annotations
@@ -31,6 +31,29 @@ from repro.obs.tracer import Observer
 TRACK_EXEC = "exec"
 
 T = TypeVar("T")
+
+
+def exec_event(
+    observer: Observer,
+    metric: str | None,
+    event: str | None = None,
+    args: dict[str, object] | None = None,
+    *,
+    observe: float | None = None,
+) -> None:
+    """Record one recovery/dispatch event of the exec layer.
+
+    Counts ``metric`` (or, with ``observe``, adds that sample to the
+    ``metric`` histogram) and, when the observer is enabled, marks the
+    ``event`` instant with ``args`` on the exec track.
+    """
+    if metric is not None:
+        if observe is None:
+            observer.metrics.counter(metric).inc()
+        else:
+            observer.metrics.histogram(metric).observe(observe)
+    if event is not None and observer.enabled:
+        observer.instant(event, track=TRACK_EXEC, args=args)
 
 
 @dataclass(frozen=True)
@@ -208,9 +231,8 @@ def run_with_retry(
     attempt count.
 
     ``on_failure`` fires on every retryable failure *before* the
-    exhaustion check — the process backend uses it to count consecutive
-    failures toward graceful degradation, so it must run even for the
-    failure that exhausts the budget.
+    exhaustion check, so a caller counting consecutive failures toward
+    graceful degradation also sees the failure that exhausts the budget.
     """
     start = clock()
     attempt = 0
@@ -249,17 +271,16 @@ def run_with_retry(
                     f"attempt(s) ({reason}): {error}"
                 ) from error
             health.retries += 1
-            observer.metrics.counter("exec.retries").inc()
-            if observer.enabled:
-                observer.instant(
-                    "segment-retry",
-                    track=TRACK_EXEC,
-                    args={
-                        "segment": segment_index,
-                        "failed_attempt": attempt,
-                        "error": type(error).__name__,
-                    },
-                )
+            exec_event(
+                observer,
+                "exec.retries",
+                "segment-retry",
+                {
+                    "segment": segment_index,
+                    "failed_attempt": attempt,
+                    "error": type(error).__name__,
+                },
+            )
             delay = policy.delay_s(attempt)
             if delay > 0:
                 sleep(delay)

@@ -94,6 +94,14 @@ def _scheduler_for(
     return _cached_scheduler, True, 0
 
 
+def warm_up() -> None:
+    """No-op task a fresh pool runs once before any segment dispatch.
+
+    Unpickling the reference imports this module, which is most of a
+    spawned worker's cold start.
+    """
+
+
 def run_segment_task(
     token: object,
     payload: RunPayload,

@@ -24,6 +24,7 @@ from repro.errors import (
     TransientSegmentError,
 )
 from repro.exec import (
+    AdmissionPolicy,
     FaultPlan,
     ProcessPoolBackend,
     RetryPolicy,
@@ -450,6 +451,156 @@ class TestProcessRecovery:
                         specs=(FaultSpec(segment=1, kind="crash", times=9),)
                     ),
                 )
+
+
+def accounting(health) -> dict:
+    """The recovery bookkeeping a refactor of the segment loop must not
+    move: per-segment attempts, retries, crashes, and downgrade."""
+    return {
+        key: health[key]
+        for key in ("attempts", "retries", "crashes", "downgraded")
+    }
+
+
+class TestRecoveryAccounting:
+    """Exact RunHealth accounting for deterministic fault plans on a
+    one-worker pool.  With a single worker every fault lands on the
+    same process in segment order, so attempts, retries, and crashes
+    are exact, not bounds.  Crashes stay out of the no-FIV plans: a
+    crash breaks sibling dispatches already in flight, in an order the
+    host does not control."""
+
+    @pytest.mark.parametrize(
+        ("use_fiv", "specs", "downgrade_after", "expected"),
+        [
+            pytest.param(
+                use_fiv,
+                (
+                    FaultSpec(segment=1, kind="transient", times=2),
+                    FaultSpec(segment=2, kind="fiv_write"),
+                    FaultSpec(segment=3, kind="svc_exhaustion"),
+                ),
+                3,
+                {
+                    "attempts": {"0": 1, "1": 3, "2": 2, "3": 2},
+                    "retries": 4,
+                    "crashes": 0,
+                    "downgraded": False,
+                },
+                id=f"transient-fiv-{'on' if use_fiv else 'off'}",
+            )
+            for use_fiv in (True, False)
+        ]
+        + [
+            pytest.param(
+                True,
+                (
+                    FaultSpec(segment=1, kind="transient", times=3),
+                    FaultSpec(segment=2, kind="transient"),
+                ),
+                3,
+                {
+                    "attempts": {"0": 1, "1": 4, "2": 2, "3": 1},
+                    "retries": 4,
+                    "crashes": 0,
+                    "downgraded": True,
+                },
+                id="transient-downgrade-fiv",
+            ),
+            pytest.param(
+                True,
+                (
+                    FaultSpec(segment=1, kind="crash"),
+                    FaultSpec(segment=2, kind="transient", times=2),
+                    FaultSpec(segment=3, kind="crash", times=2),
+                ),
+                3,
+                {
+                    "attempts": {"0": 1, "1": 2, "2": 3, "3": 3},
+                    "retries": 5,
+                    "crashes": 3,
+                    "downgraded": False,
+                },
+                id="crash-transient-fiv",
+            ),
+            pytest.param(
+                True,
+                (
+                    FaultSpec(segment=2, kind="crash", times=9),
+                    FaultSpec(segment=3, kind="transient"),
+                ),
+                2,
+                {
+                    "attempts": {"0": 1, "1": 1, "2": 3, "3": 2},
+                    "retries": 3,
+                    "crashes": 2,
+                    "downgraded": True,
+                },
+                id="crash-downgrade-fiv",
+            ),
+        ],
+    )
+    def test_exact_accounting(self, use_fiv, specs, downgrade_after, expected):
+        automaton = random_ruleset_automaton(5, num_patterns=4)
+        pap = ParallelAutomataProcessor(
+            automaton, config=PAPConfig(geometry=board(4), use_fiv=use_fiv)
+        )
+        data = trace()
+        clean = pap.run(data)
+        with ProcessPoolBackend(workers=1) as backend:
+            recovered = pap.run(
+                data,
+                backend=backend,
+                retry=RetryPolicy(
+                    max_retries=3,
+                    backoff_base_s=0.0,
+                    downgrade_after=downgrade_after,
+                ),
+                faults=FaultPlan(specs=specs),
+            )
+        assert fingerprint(recovered) == fingerprint(clean)
+        assert accounting(recovered.health) == expected
+
+    def test_chunked_partial_resume_without_fiv(self, tmp_path):
+        """An admission-bounded dispatch window over a partially
+        resumed checkpoint: only the two lost segments execute, and
+        their faults are accounted exactly."""
+        automaton = random_ruleset_automaton(5, num_patterns=4)
+        pap = ParallelAutomataProcessor(
+            automaton, config=PAPConfig(geometry=board(4), use_fiv=False)
+        )
+        data = trace()
+        clean = pap.run(data, checkpoint=str(tmp_path))
+        (path,) = tmp_path.glob("*.ckpt.jsonl")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-2]) + "\n")
+        with ProcessPoolBackend(workers=1) as backend:
+            resumed = pap.run(
+                data,
+                backend=backend,
+                checkpoint=str(tmp_path),
+                resume=True,
+                retry=FAST,
+                admission=AdmissionPolicy(
+                    memory_budget_bytes=200_000, mode="chunk"
+                ),
+                faults=FaultPlan(
+                    specs=(
+                        FaultSpec(segment=2, kind="fiv_write"),
+                        FaultSpec(segment=3, kind="transient", times=2),
+                    )
+                ),
+            )
+        assert fingerprint(resumed) == fingerprint(clean)
+        assert resumed.health["admission"]["wave_size"] == 2
+        assert resumed.extra["checkpoint"]["hits"] == 2
+        assert resumed.extra["checkpoint"]["writes"] == 2
+        assert accounting(resumed.health) == {
+            "attempts": {"2": 2, "3": 3},
+            "retries": 3,
+            "crashes": 0,
+            "downgraded": False,
+        }
 
 
 class TestBenchCycleStability:
