@@ -220,9 +220,11 @@ def _add_resilience(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help=(
             "circuit breaker on --backend process: N consecutive "
-            "infrastructure failures (worker crashes / dispatch "
-            "timeouts) open the breaker and the run fast-fails to "
-            "in-process execution with a RunHealth reason code"
+            "infrastructure failures on the pool (worker crashes / "
+            "dispatch timeouts; in-process successes do not reset the "
+            "count) open the breaker; the run downgrades to in-process "
+            "execution and later runs fast-fail there, with a RunHealth "
+            "reason code, until the cooldown admits a probe"
         ),
     )
     parser.add_argument(
@@ -395,7 +397,7 @@ def _print_run_text(summary: dict) -> None:
         health.get(key)
         for key in (
             "retries", "timeouts", "crashes", "faults_injected",
-            "downgraded", "hedges", "worker_steps",
+            "downgraded", "hedges",
         )
     ):
         line = (
@@ -409,8 +411,6 @@ def _print_run_text(summary: dict) -> None:
                 f", {health['hedges']} hedges "
                 f"({len(health.get('hedge_wins', []))} won)"
             )
-        if health.get("worker_steps"):
-            line += f", {len(health['worker_steps'])} pool step-downs"
         if health.get("downgraded"):
             line += (
                 " [degraded to serial at segment "

@@ -34,10 +34,12 @@ A backend supplies only the attempt, ``attempt(plan, truth, fiv_time)``:
 
 Recovery: a failed attempt (worker crash, dispatch timeout, transient
 error, injected or real) is retried with the same composed-predecessor
-inputs, so recovery is bit-exact.  On the process backend, repeated
-failures step the rebuilt pool down, feed an optional circuit breaker,
-and after ``downgrade_after`` consecutive failures degrade the run to
-in-process attempts for the remaining segments instead of failing it.
+inputs, so recovery is bit-exact.  On the process backend one
+degradation ladder (:class:`_Ladder`) handles repeated failures: retry
+on a rebuilt full-width pool, then downgrade the rest of the run to
+in-process attempts (after ``downgrade_after`` consecutive failures or
+when the optional circuit breaker opens), then fast-fail later runs to
+in-process execution while the breaker stays open.
 
 **Bit-exactness contract**: for any automaton, input, and configuration,
 every backend — including any recovered or degraded run — produces
@@ -432,109 +434,87 @@ class VectorBackend(SerialBackend):
     strategy = "vector"
 
 
-class _RecoveryState:
-    """Per-run degradation tracking for :class:`ProcessPoolBackend`.
+class _Ladder:
+    """One process-backend run's degradation ladder.
 
-    Counts *consecutive* failed attempts across the run; when they reach
-    the policy's ``downgrade_after``, the run degrades to in-process
-    attempts for every remaining segment — the worker pool is torn down
-    so the run finishes instead of failing.
+    The rungs, in order:
 
-    Two escalation paths run alongside (see
-    :mod:`repro.exec.durability`): consecutive *infrastructure*
-    failures step the rebuilt pool down (n → n/2 → … → 1) before the
-    downgrade fires, and they feed the backend's circuit breaker —
-    which, once open, downgrades immediately with a breaker reason
-    code instead of letting the pool be rebuilt again.
+    1. retry a failed attempt on a rebuilt full-width pool (the run's
+       :class:`~repro.exec.resilience.RetryPolicy`; a failure tears the
+       pool down and the next dispatch rebuilds it);
+    2. downgrade the rest of the run to in-process attempts, after
+       ``downgrade_after`` consecutive failures or when the backend's
+       circuit breaker opens;
+    3. fast-fail later runs straight to rung 2 while the breaker is
+       open, before any dispatch.
 
-    Also owns the run's completed-dispatch wall samples, the input to
-    the straggler-hedging threshold.
+    This is the only code that drives the breaker and writes the
+    downgrade and breaker fields of ``RunHealth``.  Only attempts that
+    ran on the pool reach it, so in-process successes after a
+    downgrade never reset the breaker's count.  A dispatch-ahead window
+    entry collected after a downgrade is still a pool attempt: its
+    success counts, but its failure does not, because the downgrade
+    tore its pool down (a cancelled or lost dispatch says nothing new
+    about the pool).
     """
 
     def __init__(
-        self, backend: "ProcessPoolBackend", ctx: ExecutionContext
+        self,
+        backend: "ProcessPoolBackend",
+        ctx: ExecutionContext,
+        first: SegmentPlan,
     ) -> None:
         self.backend = backend
         self.ctx = ctx
         self.consecutive = 0
         self.downgraded = False
-        self.samples: list[float] = []
+        breaker = backend.breaker
+        if breaker is not None and not breaker.allow():
+            # Rung 3: no pool build, no per-segment failure churn.
+            ctx.observer.metrics.counter("breaker.fastfails").inc()
+            self._downgrade(first, f"breaker open: {breaker.reason}")
+            self._note_breaker(first, opened=False)
 
-    def note_failure(self, plan: SegmentPlan, error: BaseException) -> None:
-        self.consecutive += 1
+    def failure(self, plan: SegmentPlan, error: BaseException) -> None:
+        """Record one failed pool attempt; climb the ladder if due."""
         if self.downgraded:
             return
-        if isinstance(error, (WorkerCrashError, SegmentTimeoutError)):
-            self._step_down_workers(plan, error)
-            breaker = self.backend.breaker
-            if breaker is not None:
-                opened = breaker.record_failure(error)
-                self.backend._note_breaker(
-                    self.ctx, opened_at=plan, opened=opened
-                )
-                if opened:
-                    # Fast-fail the rest of the run instead of another
-                    # pool rebuild; later runs fast-fail up front until
-                    # the cooldown half-opens the breaker.
-                    self.downgrade(
-                        plan, f"breaker open: {breaker.reason}", error
-                    )
-                    return
+        self.consecutive += 1
+        breaker = self.backend.breaker
+        if breaker is not None and isinstance(
+            error, (WorkerCrashError, SegmentTimeoutError)
+        ):
+            opened = breaker.record_failure(error)
+            self._note_breaker(plan, opened=opened)
+            if opened:
+                self._downgrade(plan, f"breaker open: {breaker.reason}", error)
+                return
         limit = self.ctx.retry.downgrade_after
         if limit is not None and self.consecutive >= limit:
-            self.downgrade(
+            self._downgrade(
                 plan,
                 f"{self.consecutive} consecutive process-backend failures "
                 f"(last: {type(error).__name__})",
                 error,
             )
 
-    def _step_down_workers(
-        self, plan: SegmentPlan, error: BaseException
-    ) -> None:
-        """Halve the rebuilt pool under repeated infrastructure failure.
+    def success(self) -> None:
+        """Record one successful pool attempt."""
+        self.consecutive = 0
+        breaker = self.backend.breaker
+        if breaker is not None:
+            was = breaker.state
+            breaker.record_success()
+            if was != breaker.state:
+                self._note_breaker(None, opened=False)
 
-        The first failure may be a one-off (one lost worker), so the
-        rebuild keeps its size; from the second *consecutive* one on,
-        re-dispatching at the same width is just re-arming the same
-        failure — each further failure halves the next rebuild
-        (n → n/2 → … → 1), and ``downgrade_after`` / the breaker take
-        over from there.  Every step is recorded in RunHealth.
-        """
-        backend = self.backend
-        if self.consecutive < 2 or backend._dispatch_workers <= 1:
-            return
-        stepped = max(1, backend._dispatch_workers // 2)
-        backend._dispatch_workers = stepped
-        ctx = self.ctx
-        ctx.health.worker_steps.append(
-            {
-                "segment": plan.segment.index,
-                "workers": stepped,
-                "consecutive": self.consecutive,
-                "error": type(error).__name__,
-            }
-        )
-        ctx.observer.metrics.gauge("exec.workers").set(stepped)
-        exec_event(
-            ctx.observer,
-            "exec.worker_stepdowns",
-            "worker-stepdown",
-            {
-                "segment": plan.segment.index,
-                "workers": stepped,
-                "consecutive_failures": self.consecutive,
-                "error": type(error).__name__,
-            },
-        )
-
-    def downgrade(
+    def _downgrade(
         self,
         plan: SegmentPlan,
         reason: str,
         error: BaseException | None = None,
     ) -> None:
-        """Switch the rest of the run to in-process attempts."""
+        """Rung 2: switch the rest of the run to in-process attempts."""
         self.downgraded = True
         ctx = self.ctx
         health = ctx.health
@@ -554,16 +534,26 @@ class _RecoveryState:
         # whatever broke them.
         self.backend._teardown(wait=False)
 
-    def note_success(self) -> None:
-        self.consecutive = 0
+    def _note_breaker(self, plan: SegmentPlan | None, *, opened: bool) -> None:
+        """Mirror the breaker's state into health, metrics, and ledger."""
         breaker = self.backend.breaker
-        if breaker is not None:
-            was = breaker.state
-            breaker.record_success()
-            if was != breaker.state:
-                self.backend._note_breaker(
-                    self.ctx, opened_at=None, opened=False
-                )
+        assert breaker is not None
+        health = self.ctx.health
+        health.breaker_state = breaker.state
+        health.breaker_reason = breaker.reason
+        obs = self.ctx.observer
+        obs.metrics.gauge("breaker.state").set(breaker.state_code)
+        args: dict[str, object] = {"state": breaker.state}
+        if plan is not None:
+            args["segment"] = plan.segment.index
+        if breaker.reason is not None:
+            args["reason"] = breaker.reason
+        exec_event(
+            obs,
+            "breaker.opens" if opened else None,
+            "breaker-open" if opened else "breaker-state",
+            args,
+        )
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -591,11 +581,8 @@ class ProcessPoolBackend(ExecutionBackend):
     dispatch timeout tears the executor down *without waiting* (a hung
     worker cannot be joined) and the next dispatch — a retry of the
     failed segment or a later run on the same backend instance —
-    lazily rebuilds a fresh pool, *stepped down* (n → n/2 → … → 1)
-    under repeated consecutive infrastructure failures.  After
-    ``downgrade_after`` consecutive failures the run degrades to
-    in-process execution for the remaining segments (see
-    :class:`_RecoveryState`).
+    lazily rebuilds a fresh full-width pool.  Repeated failures climb
+    the run's degradation ladder (see :class:`_Ladder`).
 
     Durability (see :mod:`repro.exec.durability`): ``hedge`` enables
     straggler hedging — a dispatch outstanding past a MAD-based
@@ -627,7 +614,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._mp_context = mp_context
         self._executor: ProcessPoolExecutor | None = None
         self._run_counter = 0
-        self._dispatch_workers = self.workers
 
     # -- pool lifecycle ---------------------------------------------------
 
@@ -642,7 +628,7 @@ class ProcessPoolBackend(ExecutionBackend):
         if self._executor is None:
             start = perf_counter_ns()
             self._executor = ProcessPoolExecutor(
-                max_workers=self._dispatch_workers,
+                max_workers=self.workers,
                 mp_context=multiprocessing.get_context(self._mp_context),
             )
             self._executor.submit(warm_up).result()
@@ -666,34 +652,6 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def close(self) -> None:
         self._teardown(wait=True)
-
-    # -- breaker bookkeeping ----------------------------------------------
-
-    def _note_breaker(
-        self,
-        ctx: ExecutionContext,
-        *,
-        opened_at: SegmentPlan | None,
-        opened: bool,
-    ) -> None:
-        """Mirror the breaker's state into health, metrics, and ledger."""
-        breaker = self.breaker
-        assert breaker is not None
-        health = ctx.health
-        health.breaker_state = breaker.state
-        health.breaker_reason = breaker.reason
-        ctx.observer.metrics.gauge("breaker.state").set(breaker.state_code)
-        args: dict[str, object] = {"state": breaker.state}
-        if opened_at is not None:
-            args["segment"] = opened_at.segment.index
-        if breaker.reason is not None:
-            args["reason"] = breaker.reason
-        exec_event(
-            ctx.observer,
-            "breaker.opens" if opened else None,
-            "breaker-open" if opened else "breaker-state",
-            args,
-        )
 
     # -- dispatch ---------------------------------------------------------
 
@@ -762,7 +720,7 @@ class ProcessPoolBackend(ExecutionBackend):
     def _collect(
         self,
         ctx: ExecutionContext,
-        state: _RecoveryState,
+        samples: list[float],
         plan: SegmentPlan,
         dispatch: tuple[Future, int],
         redispatch: Callable[[], tuple[Future, int]],
@@ -776,7 +734,8 @@ class ProcessPoolBackend(ExecutionBackend):
         is cancelled.  Both copies compute the same pure function of the
         same inputs, so first-winner selection cannot change the cycle
         domain.  The per-segment dispatch timeout, when set, still
-        bounds the *total* wait including the hedge.
+        bounds the *total* wait including the hedge.  Each completed
+        dispatch's wall is appended to ``samples``.
         """
         obs = ctx.observer
         index = plan.segment.index
@@ -784,7 +743,7 @@ class ProcessPoolBackend(ExecutionBackend):
         policy = self.hedge
         start = time.monotonic()
         threshold = (
-            policy.threshold_s(state.samples) if policy is not None else None
+            policy.threshold_s(samples) if policy is not None else None
         )
         future, span = dispatch
         outstanding: dict[Future, int] = {future: span}
@@ -797,13 +756,14 @@ class ProcessPoolBackend(ExecutionBackend):
                 elapsed = time.monotonic() - start
                 if timeout is not None and elapsed >= timeout:
                     raise FuturesTimeoutError()
-                quanta = []
-                if timeout is not None:
-                    quanta.append(timeout - elapsed)
-                if threshold is not None and not hedged:
-                    quanta.append(max(threshold - elapsed, 0.0))
-                    quanta.append(policy.poll_interval_s)
-                quantum = min(quanta) if quanta else None
+                # Sleep until a copy finishes, the deadline passes, or the
+                # hedge threshold comes due, whichever is first.
+                wakes = [
+                    limit - elapsed
+                    for limit in (timeout, None if hedged else threshold)
+                    if limit is not None
+                ]
+                quantum = max(min(wakes), 0.0) if wakes else None
                 done, _ = wait(
                     outstanding, timeout=quantum, return_when=FIRST_COMPLETED
                 )
@@ -891,7 +851,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 "hedge-win",
                 {"segment": index, "waited_ms": waited_ms},
             )
-        state.samples.append(time.monotonic() - start)
+        samples.append(time.monotonic() - start)
         obs.end_span(
             winner_span,
             args={
@@ -916,14 +876,8 @@ class ProcessPoolBackend(ExecutionBackend):
     ) -> list[SegmentOutcome]:
         if not plans:
             return []
-        obs = ctx.observer
-        if self._dispatch_workers != self.workers and self._executor is None:
-            # A prior run's step-down is not this run's problem: fresh
-            # runs start at the configured width (an existing healthy
-            # pool, stepped or not, is still reused).
-            self._dispatch_workers = self.workers
-        if obs.enabled:
-            obs.metrics.gauge("exec.workers").set(self._dispatch_workers)
+        if ctx.observer.enabled:
+            ctx.observer.metrics.gauge("exec.workers").set(self.workers)
         self._run_counter += 1
         token = (id(self), self._run_counter)
         payload = RunPayload(
@@ -932,14 +886,8 @@ class ProcessPoolBackend(ExecutionBackend):
             path_independent=ctx.path_independent,
             data=data,
         )
-        state = _RecoveryState(self, ctx)
-        if self.breaker is not None and not self.breaker.allow():
-            # Open breaker: fast-fail straight to in-process execution —
-            # no pool build, no per-segment failure churn.  RunHealth
-            # carries the reason code.
-            obs.metrics.counter("breaker.fastfails").inc()
-            state.downgrade(plans[0], f"breaker open: {self.breaker.reason}")
-            self._note_breaker(ctx, opened_at=plans[0], opened=False)
+        ladder = _Ladder(self, ctx, plans[0])
+        samples: list[float] = []  # completed dispatch walls, for hedging
 
         submit = functools.partial(self._submit, ctx, token, payload)
         # Dispatch-ahead window (no-FIV only): first attempts already in
@@ -959,7 +907,7 @@ class ProcessPoolBackend(ExecutionBackend):
         )
 
         def top_up() -> None:
-            while not state.downgraded and (
+            while not ladder.downgraded and (
                 limit is None or len(window) < limit
             ):
                 plan = next(ahead, None)
@@ -976,26 +924,25 @@ class ProcessPoolBackend(ExecutionBackend):
             plan: SegmentPlan, truth: dict[int, bool], fiv_time: int | None
         ) -> SegmentResult:
             entry = window.pop(plan.segment.index, None)
+            if entry is None and ladder.downgraded:
+                return inline(plan, truth, fiv_time)
             try:
-                if entry is None and state.downgraded:
-                    result = inline(plan, truth, fiv_time)
-                elif isinstance(entry, BaseException):
+                if isinstance(entry, BaseException):
                     raise entry
-                else:
-                    result = self._collect(
-                        ctx,
-                        state,
-                        plan,
-                        entry or submit(plan, truth, fiv_time),
-                        # A hedge is a fresh attempt to the injector:
-                        # seeded first-attempt faults do not re-fire on
-                        # the speculative copy.
-                        lambda: submit(plan, truth, fiv_time),
-                    )
+                result = self._collect(
+                    ctx,
+                    samples,
+                    plan,
+                    entry or submit(plan, truth, fiv_time),
+                    # A hedge is a fresh attempt to the injector: seeded
+                    # first-attempt faults do not re-fire on the
+                    # speculative copy.
+                    lambda: submit(plan, truth, fiv_time),
+                )
             except RETRYABLE_ERRORS as error:
-                state.note_failure(plan, error)
+                ladder.failure(plan, error)
                 raise
-            state.note_success()
+            ladder.success()
             return result
 
         top_up()

@@ -474,7 +474,6 @@ class HedgePolicy:
     mad_multiplier: float = 4.0
     min_samples: int = 3
     min_threshold_s: float = 0.05
-    poll_interval_s: float = 0.02
 
     def __post_init__(self) -> None:
         if self.mad_multiplier <= 0:
@@ -483,8 +482,6 @@ class HedgePolicy:
             raise ConfigurationError("hedge min_samples must be >= 1")
         if self.min_threshold_s < 0:
             raise ConfigurationError("hedge min_threshold_s must be >= 0")
-        if self.poll_interval_s <= 0:
-            raise ConfigurationError("hedge poll_interval_s must be positive")
 
     def threshold_s(self, samples: Sequence[float]) -> float | None:
         """Hedge-after threshold, or ``None`` with too few samples."""

@@ -143,9 +143,6 @@ class RunHealth:
     hedge_wins: list[dict] = field(default_factory=list)
     """Hedges whose speculative dispatch finished first:
     ``{"segment", "waited_ms"}``."""
-    worker_steps: list[dict] = field(default_factory=list)
-    """Pool step-downs under consecutive infrastructure failures:
-    ``{"segment", "workers", "consecutive", "error"}``."""
     breaker_state: str | None = None
     """Backend circuit-breaker state after this run touched it
     (``None`` when the backend has no breaker or it never fired)."""
@@ -176,7 +173,6 @@ class RunHealth:
             or self.injected
             or self.downgraded
             or self.hedges
-            or self.worker_steps
         )
 
     def to_dict(self) -> dict:
@@ -191,7 +187,6 @@ class RunHealth:
             "downgraded_at_segment": self.downgraded_at_segment,
             "hedges": self.hedges,
             "hedge_wins": list(self.hedge_wins),
-            "worker_steps": list(self.worker_steps),
             "breaker_state": self.breaker_state,
             "breaker_reason": self.breaker_reason,
             "checkpoint_path": self.checkpoint_path,
@@ -215,7 +210,6 @@ def run_with_retry(
     segment_index: int,
     attempt_fn: Callable[[], T],
     *,
-    on_failure: Callable[[BaseException], None] | None = None,
     sleep: Callable[[float], None] = time.sleep,
     clock: Callable[[], float] = time.monotonic,
 ) -> T:
@@ -229,10 +223,6 @@ def run_with_retry(
     deadline is exhausted, the last error is wrapped in an
     :class:`~repro.errors.ExecutionError` naming the segment and the
     attempt count.
-
-    ``on_failure`` fires on every retryable failure *before* the
-    exhaustion check, so a caller counting consecutive failures toward
-    graceful degradation also sees the failure that exhausts the budget.
     """
     start = clock()
     attempt = 0
@@ -254,8 +244,6 @@ def run_with_retry(
             elif isinstance(error, WorkerCrashError):
                 health.crashes += 1
                 observer.metrics.counter("exec.crashes").inc()
-            if on_failure is not None:
-                on_failure(error)
             elapsed = clock() - start
             over_deadline = (
                 policy.deadline_s is not None and elapsed >= policy.deadline_s

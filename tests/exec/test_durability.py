@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +28,7 @@ from repro.errors import (
     AdmissionError,
     CheckpointError,
     ConfigurationError,
+    ExecutionError,
 )
 from repro.exec import (
     AdmissionPolicy,
@@ -537,60 +539,70 @@ class TestCircuitBreaker:
         finally:
             backend.close()
 
-
-class TestWorkerStepDown:
-    def test_consecutive_crashes_step_workers_down(self, workload, cold):
-        """The PR-5 rebuild-at-full-width fix: the second consecutive
-        infrastructure failure halves the pool (2 -> 1 here), recorded
-        in RunHealth."""
-        pap, data = workload
-        backend = ProcessPoolBackend(workers=2)
+    @pytest.mark.parametrize("use_fiv", [True, False])
+    def test_broken_pool_opens_breaker_across_runs(self, workload, use_fiv):
+        """In-process successes after a downgrade are not pool
+        successes: they must not reset the breaker's count, or a pool
+        that crashes on every dispatch never opens it.  Without FIV the
+        dispatch-ahead window loses every dispatch with the first
+        broken pool; those losses after the downgrade do not count."""
+        automaton, data = workload[0].automaton, workload[1]
+        pap = ParallelAutomataProcessor(
+            automaton, config=replace(DEFAULT_CONFIG, use_fiv=use_fiv)
+        )
+        cold = cycle_fingerprint(pap.run(data))
+        faults = FaultPlan(
+            specs=tuple(
+                FaultSpec(segment=index, kind="crash", times=99)
+                for index in range(pap.num_segments)
+            )
+        )
+        backend = ProcessPoolBackend(
+            workers=2, breaker=CircuitBreaker(fail_threshold=5)
+        )
         try:
-            faults = FaultPlan(
-                specs=(FaultSpec(segment=3, kind="crash", times=2),)
-            )
-            result = pap.run(
-                data,
-                backend=backend,
-                faults=faults,
-                retry=RetryPolicy(
-                    max_retries=3, backoff_base_s=0.0, downgrade_after=None
-                ),
-            )
-            assert cycle_fingerprint(result) == cold
-            steps = result.health["worker_steps"]
-            assert steps == [
-                {
-                    "segment": 3,
-                    "workers": 1,
-                    "consecutive": 2,
-                    "error": "WorkerCrashError",
-                }
+            runs = [
+                pap.run(
+                    data,
+                    backend=backend,
+                    faults=faults,
+                    retry=RetryPolicy(max_retries=5, backoff_base_s=0.0),
+                )
+                for _ in range(3)
             ]
         finally:
             backend.close()
+        for run in runs:
+            assert cycle_fingerprint(run) == cold
+            assert run.health["downgraded"]
+        assert runs[0].health["downgrade_reason"].startswith(
+            "3 consecutive"
+        )
+        assert runs[0].health["breaker_state"] == "closed"
+        assert runs[1].health["downgrade_reason"].startswith("breaker open")
+        assert runs[2].health["crashes"] == 0
 
-    def test_fresh_run_restores_configured_width(self, workload):
+    def test_exhausted_retries_still_open_the_breaker(self, workload):
+        """The failure that exhausts a segment's retries still reaches
+        the ladder: it opens the breaker before the run fails."""
         pap, data = workload
-        backend = ProcessPoolBackend(workers=2)
+        breaker = CircuitBreaker(fail_threshold=2)
+        backend = ProcessPoolBackend(workers=2, breaker=breaker)
         try:
-            faults = FaultPlan(
-                specs=(FaultSpec(segment=3, kind="crash", times=2),)
-            )
-            pap.run(
-                data,
-                backend=backend,
-                faults=faults,
-                retry=RetryPolicy(
-                    max_retries=3, backoff_base_s=0.0, downgrade_after=None
-                ),
-            )
-            assert backend._dispatch_workers == 1
-            backend.close()  # stepped pool gone; next run starts fresh
-            pap.run(data, backend=backend)
-            assert backend._dispatch_workers == 2
+            with pytest.raises(ExecutionError):
+                pap.run(
+                    data,
+                    backend=backend,
+                    faults=FaultPlan(
+                        specs=(FaultSpec(segment=0, kind="crash", times=2),)
+                    ),
+                    retry=RetryPolicy(
+                        max_retries=1, backoff_base_s=0.0, downgrade_after=None
+                    ),
+                )
         finally:
             backend.close()
+        assert breaker.state == "open"
 
 
 class TestAdmission:

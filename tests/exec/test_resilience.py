@@ -175,23 +175,6 @@ class TestRunWithRetry:
             )
         assert health.attempts == {1: 1}
 
-    def test_on_failure_fires_even_on_the_exhausting_attempt(self):
-        seen = []
-
-        def attempt():
-            raise TransientSegmentError("nope")
-
-        with pytest.raises(ExecutionError):
-            run_with_retry(
-                RetryPolicy(max_retries=1, backoff_base_s=0.0),
-                RunHealth(),
-                NULL_OBSERVER,
-                0,
-                attempt,
-                on_failure=lambda error: seen.append(type(error).__name__),
-            )
-        assert seen == ["TransientSegmentError", "TransientSegmentError"]
-
 
 class TestRunHealth:
     def test_to_dict_shape(self):
