@@ -4,8 +4,9 @@ The PAP parallelization scheme (Section 3 of the paper) is driven by four
 structural properties of real-world NFAs, all computed here:
 
 * **symbol ranges** — for each of the 256 input symbols, the set of
-  reachable states labeled with that symbol (the candidate start states
-  of a segment whose predecessor ended at that symbol);
+  enterable states (a start state, or a state with a predecessor)
+  labeled with that symbol: the candidate start states of a segment
+  whose predecessor ended at that symbol;
 * **connected components** — disconnected sub-graphs whose state spaces
   can never overlap, allowing their enumeration paths to share a flow;
 * **parent structure** — range states sharing a parent always become
@@ -32,6 +33,9 @@ class AutomatonAnalysis:
         self.automaton = automaton
         self._version = automaton.version
         self._label_matrix: np.ndarray | None = None
+        self._enterable: frozenset[int] | None = None
+        self._enterable_mask: np.ndarray | None = None
+        self._boundary_mask: np.ndarray | None = None
         self._component_index: list[int] | None = None
         self._components: list[frozenset[int]] | None = None
         self._always_active: frozenset[int] | None = None
@@ -77,31 +81,60 @@ class AutomatonAnalysis:
         """States that can ever be in a current set: states with at least
         one predecessor, plus start states of either kind."""
         self._check_fresh()
+        if self._enterable is None:
+            self._enterable = frozenset(
+                np.flatnonzero(self.enterable_mask()).tolist()
+            )
+        return self._enterable
+
+    def enterable_mask(self) -> np.ndarray:
+        """Read-only boolean vector over state ids: ``enterable_states()``."""
+        self._check_fresh()
+        if self._enterable_mask is None:
+            self._compute_enterable()
+        assert self._enterable_mask is not None
+        return self._enterable_mask
+
+    def boundary_mask(self) -> np.ndarray:
+        """Read-only boolean vector over state ids: the states that can
+        match at an input offset past zero, i.e. states with a predecessor
+        plus all-input starts.  It is ``enterable_mask()`` without the
+        parentless start-of-data states, which match only at offset 0."""
+        self._check_fresh()
+        if self._boundary_mask is None:
+            self._compute_enterable()
+        assert self._boundary_mask is not None
+        return self._boundary_mask
+
+    def _compute_enterable(self) -> None:
         automaton = self.automaton
-        enterable = set(automaton.start_states())
-        for _, dst in automaton.edges():
-            enterable.add(dst)
-        return frozenset(enterable)
+        count = len(automaton)
+        has_predecessor = np.zeros(count, dtype=bool)
+        has_predecessor[[dst for _, dst in automaton.edges()]] = True
+        all_input = np.zeros(count, dtype=bool)
+        all_input[list(automaton.all_input_states())] = True
+        start_of_data = np.zeros(count, dtype=bool)
+        start_of_data[list(automaton.start_of_data_states())] = True
+        boundary = has_predecessor | all_input
+        enterable = boundary | start_of_data
+        boundary.flags.writeable = False
+        enterable.flags.writeable = False
+        self._boundary_mask = boundary
+        self._enterable_mask = enterable
 
     def symbol_range(self, symbol: int) -> frozenset[int]:
         """The paper's *range* of ``symbol``: every enterable state whose
         label contains it (the ANML image of the transition function)."""
         self._check_fresh()
         column = self.label_matrix()[:, symbol]
-        enterable = self.enterable_states()
         return frozenset(
-            sid for sid in np.flatnonzero(column).tolist() if sid in enterable
+            np.flatnonzero(column & self.enterable_mask()).tolist()
         )
 
     def range_sizes(self) -> np.ndarray:
         """Array of 256 range sizes, one per symbol."""
         self._check_fresh()
-        matrix = self.label_matrix().copy()
-        enterable = self.enterable_states()
-        blocked = [sid for sid in range(len(self.automaton)) if sid not in enterable]
-        if blocked:
-            matrix[blocked, :] = False
-        return matrix.sum(axis=0)
+        return self.label_matrix()[self.enterable_mask()].sum(axis=0)
 
     # -- connected components ----------------------------------------------
 

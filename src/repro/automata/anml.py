@@ -243,21 +243,33 @@ class Automaton:
     def copy(self, name: str | None = None) -> "Automaton":
         return self.compact(range(len(self._states)), name=name)
 
-    def union(self, other: "Automaton", name: str | None = None) -> "Automaton":
-        """Disjoint union: both automata side by side, ids of ``other``
-        shifted past this automaton's ids."""
-        out = self.copy(name=name or f"{self.name}+{other.name}")
-        offset = len(self._states)
-        for ste in other.states():
-            out.add_state(
-                ste.label,
-                start=ste.start,
-                reporting=ste.reporting,
-                report_code=ste.report_code,
-                name=ste.name,
+    def union(self, *others: "Automaton", name: str | None = None) -> "Automaton":
+        """Disjoint union: this automaton and ``others`` side by side, the
+        ids of each part shifted past the ids of the parts before it.
+
+        One pass over every part, so merging ``k`` components costs their
+        total size rather than ``k`` copies of a growing result.  The
+        version ends at states + edges, as if built by ``add_state`` and
+        ``add_edge`` calls.
+        """
+        parts = (self, *others)
+        out = Automaton(name=name or "+".join(part.name for part in parts))
+        states, succ = out._states, out._succ
+        for part in parts:
+            offset = len(states)
+            states.extend(
+                Ste(
+                    ste.sid + offset,
+                    ste.label,
+                    ste.start,
+                    ste.reporting,
+                    ste.report_code,
+                    ste.name,
+                )
+                for ste in part._states
             )
-        for src, dst in other.edges():
-            out.add_edge(src + offset, dst + offset)
+            succ.extend([dst + offset for dst in outs] for outs in part._succ)
+        out._version = len(states) + sum(len(outs) for outs in succ)
         return out
 
     # -- internals ---------------------------------------------------------

@@ -127,8 +127,5 @@ def classes_for(text: str | bytes) -> list[CharClass]:
 
 
 def merge_all(automata: Iterable[Automaton], name: str = "union") -> Automaton:
-    """Disjoint union of any number of automata."""
-    result = Automaton(name=name)
-    for automaton in automata:
-        result = result.union(automaton, name=name)
-    return result
+    """Disjoint union of any number of automata, in one copy."""
+    return Automaton(name=name).union(*automata, name=name)

@@ -66,21 +66,26 @@ def enumeration_range(
     parentless start-of-data states are matchable there and must stay
     enumerable.
     """
-    automaton = analysis.automaton
-    candidates = analysis.symbol_range(symbol)
-    all_input = frozenset(automaton.all_input_states())
-    start_of_data = frozenset(automaton.start_of_data_states())
-    result = set()
-    for sid in candidates:
-        if sid in exclude:
-            continue
-        if not automaton.predecessors(sid):
-            persistently = sid in all_input
-            at_zero = boundary_at_offset_zero and sid in start_of_data
-            if not (persistently or at_zero):
-                continue
-        result.add(sid)
-    return frozenset(result)
+    mask = (
+        analysis.enterable_mask()
+        if boundary_at_offset_zero
+        else analysis.boundary_mask()
+    )
+    column = analysis.label_matrix()[:, symbol]
+    return frozenset(np.flatnonzero(column & mask).tolist()).difference(exclude)
+
+
+def enumeration_range_sizes(
+    analysis: AutomatonAnalysis, *, exclude: frozenset[int] = frozenset()
+) -> np.ndarray:
+    """``len(enumeration_range(analysis, s, exclude=exclude))`` for all
+    256 symbols ``s``, as one reduction over the label matrix."""
+    mask = analysis.boundary_mask()
+    excluded = [sid for sid in exclude if 0 <= sid < len(mask)]
+    if excluded:
+        mask = mask.copy()
+        mask[excluded] = False
+    return analysis.label_matrix()[mask].sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -112,11 +117,12 @@ def choose_partition_symbol(
         raise ConfigurationError("cannot profile an empty input")
     counts = Counter(data)
     needed = max(1, num_segments - 1)
+    sizes = enumeration_range_sizes(analysis, exclude=exclude).tolist()
     best: PartitionSymbolChoice | None = None
     for symbol, occurrences in counts.items():
         if occurrences < needed:
             continue
-        size = len(enumeration_range(analysis, symbol, exclude=exclude))
+        size = sizes[symbol]
         if (
             best is None
             or size < best.range_size
@@ -130,7 +136,7 @@ def choose_partition_symbol(
         symbol, occurrences = counts.most_common(1)[0]
         best = PartitionSymbolChoice(
             symbol=symbol,
-            range_size=len(enumeration_range(analysis, symbol, exclude=exclude)),
+            range_size=sizes[symbol],
             occurrences=occurrences,
         )
     return best
