@@ -60,7 +60,7 @@ class PAPRunResult:
     def phases(self) -> dict:
         """Phase-attribution summary (``extra["phases"]``): per-phase
         cycle totals that provably sum to the run's totals, plus wall
-        phases when a recording observer was attached — see
+        phases when a tracer recorded the run — see
         :mod:`repro.obs.phases`.  Empty when the run predates phase
         accounting."""
         return self.extra.get("phases", {})

@@ -54,7 +54,13 @@ from repro.exec.resilience import (
 )
 from repro.host.reporting import report_processing_cycles
 from repro.obs.phases import summarize_run_phases
-from repro.obs.tracer import NULL_OBSERVER, TRACK_HOST, TRACK_RUN, Observer
+from repro.obs.tracer import (
+    NULL_OBSERVER,
+    TRACK_HOST,
+    TRACK_RUN,
+    Observer,
+    Tracer,
+)
 
 _EMPTY_STATS = FlowReductionStats(0, 0, 0, 0)
 
@@ -517,9 +523,10 @@ class ParallelAutomataProcessor:
         if ckpt_run is not None:
             result.extra["checkpoint"] = dict(ckpt_run.to_dict(), resumed=resume)
         # Phase attribution (repro.obs.phases): cycle phases derive
-        # from the result itself; wall phases arrive via the observer
-        # (including worker-shipped rows merged by the process backend).
+        # from the result itself; wall phases from this run's spans
+        # (worker spans included, merged by the process backend).
         result.extra["phases"] = summarize_run_phases(
-            result, wall=obs.phases
+            result,
+            obs.events[run_span:] if isinstance(obs, Tracer) else (),
         )
         return result

@@ -243,17 +243,12 @@ class SegmentScheduler:
             },
         )
         execution = self._new_flow()
-        phases = obs.phases
-        if phases.enabled:
+        profiling = obs.enabled
+        if profiling:
             wall0 = perf_counter_ns()
-            execution.run(data[segment.start : segment.end], segment.start)
-            phases.add(
-                PHASE_TRANSITION,
-                segment.index,
-                perf_counter_ns() - wall0,
-            )
-        else:
-            execution.run(data[segment.start : segment.end], segment.start)
+        execution.run(data[segment.start : segment.end], segment.start)
+        if profiling:
+            wall_transition = perf_counter_ns() - wall0
         buffer = OutputEventBuffer(observer=obs, track=track)
         buffer.push_all(execution.reports, GOLDEN_FLOW_ID)
         events = buffer.drain()
@@ -266,11 +261,10 @@ class SegmentScheduler:
             transitions=execution.transitions,
             flows_at_end=1,
         )
-        obs.end_span(
-            span,
-            cycle=segment.length,
-            args={"raw_events": metrics.raw_events},
-        )
+        end_args: dict[str, object] = {"raw_events": metrics.raw_events}
+        if profiling:
+            end_args["wall_ns"] = {PHASE_TRANSITION: wall_transition}
+        obs.end_span(span, cycle=segment.length, args=end_args)
         self._observe_segment(metrics)
         return SegmentResult(
             plan=plan,
@@ -387,9 +381,8 @@ class SegmentScheduler:
         # Wall-domain phase accounting (repro.obs.phases).  Disabled,
         # this is one attribute read here and plain branches below —
         # the clock is never touched.  Enabled, costs accumulate into
-        # locals and flush to the recorder once per segment.
-        phases = obs.phases
-        profiling = phases.enabled
+        # locals and land once, in the segment span's end args.
+        profiling = obs.enabled
         wall_transition = wall_switch = wall_convergence = 0
 
         while position < segment.end:
@@ -405,10 +398,9 @@ class SegmentScheduler:
                 if pay_switch and step > 0:
                     if profiling:
                         wall0 = perf_counter_ns()
-                        svc.restore(flow.flow_id)
+                    svc.restore(flow.flow_id)
+                    if profiling:
                         wall_switch += perf_counter_ns() - wall0
-                    else:
-                        svc.restore(flow.flow_id)
                 if profiling:
                     wall0 = perf_counter_ns()
                 consumed = self._process_asg_slice(
@@ -427,19 +419,17 @@ class SegmentScheduler:
                 if flow.kind == "asg" and pay_switch:
                     if profiling:
                         wall0 = perf_counter_ns()
-                        svc.save(flow.flow_id, StateVector(active=asg_end))
+                    svc.save(flow.flow_id, StateVector(active=asg_end))
+                    if profiling:
                         wall_switch += perf_counter_ns() - wall0
-                    else:
-                        svc.save(flow.flow_id, StateVector(active=asg_end))
                 if flow.kind != "enum":
                     continue
                 if pay_switch and step > 0:
                     if profiling:
                         wall0 = perf_counter_ns()
-                        svc.restore(flow.flow_id)
+                    svc.restore(flow.flow_id)
+                    if profiling:
                         wall_switch += perf_counter_ns() - wall0
-                    else:
-                        svc.restore(flow.flow_id)
                 if profiling:
                     wall0 = perf_counter_ns()
                 consumed = self._process_slice(
@@ -552,14 +542,6 @@ class SegmentScheduler:
                     time += inline_cycles
                     metrics.convergence_check_cycles += inline_cycles
 
-        if profiling:
-            index = segment.index
-            phases.add(PHASE_TRANSITION, index, wall_transition)
-            if wall_switch:
-                phases.add(PHASE_SWITCH, index, wall_switch)
-            if wall_convergence:
-                phases.add(PHASE_CONVERGENCE, index, wall_convergence)
-
         metrics.symbol_cycles = sum(
             flow.execution.symbols_processed for flow in flows
         )
@@ -581,17 +563,21 @@ class SegmentScheduler:
             buffer.push_all(flow.execution.reports, flow.flow_id)
         events = buffer.drain()
         metrics.raw_events = buffer.raw_events
-        obs.end_span(
-            span,
-            cycle=metrics.finish_cycles,
-            args={
-                "flows_at_end": metrics.flows_at_end,
-                "raw_events": metrics.raw_events,
-                "deactivations": metrics.deactivations,
-                "convergence_merges": metrics.convergence_merges,
-                "fiv_invalidations": metrics.fiv_invalidations,
-            },
-        )
+        end_args: dict[str, object] = {
+            "flows_at_end": metrics.flows_at_end,
+            "raw_events": metrics.raw_events,
+            "deactivations": metrics.deactivations,
+            "convergence_merges": metrics.convergence_merges,
+            "fiv_invalidations": metrics.fiv_invalidations,
+        }
+        if profiling:
+            wall = {PHASE_TRANSITION: wall_transition}
+            if wall_switch:
+                wall[PHASE_SWITCH] = wall_switch
+            if wall_convergence:
+                wall[PHASE_CONVERGENCE] = wall_convergence
+            end_args["wall_ns"] = wall
+        obs.end_span(span, cycle=metrics.finish_cycles, args=end_args)
         self._observe_segment(metrics)
 
         final_currents = {

@@ -111,7 +111,6 @@ from repro.exec.resilience import (
 )
 from repro.exec.worker import RunPayload, run_segment_task, warm_up
 from repro.host.decode import false_path_decode_cycles
-from repro.obs.phases import PHASE_COMPOSE
 from repro.obs.tracer import NULL_OBSERVER, TRACK_HOST, Observer
 
 #: The spellable backend names accepted by :func:`resolve_backend` (and
@@ -325,17 +324,8 @@ class ExecutionBackend:
         span = obs.begin_span(
             f"compose[{result.plan.segment.index}]", track=TRACK_HOST
         )
-        phases = obs.phases
-        if phases.enabled:
-            wall0 = perf_counter_ns()
-            composed = compose_segment(result, truth, ctx.analysis)
-            phases.add(
-                PHASE_COMPOSE,
-                result.plan.segment.index,
-                perf_counter_ns() - wall0,
-            )
-        else:
-            composed = compose_segment(result, truth, ctx.analysis)
+        # The span's wall duration is the segment's compose phase.
+        composed = compose_segment(result, truth, ctx.analysis)
         obs.end_span(
             span,
             args={

@@ -9,7 +9,9 @@ Perfetto (:mod:`repro.obs.chrome`), a text profiler
 (:mod:`repro.obs.phases`), and worker-side capture for the process
 backend (:mod:`repro.obs.remote`) — shipped record batches merge into
 the parent's timeline so ledgers and exports stay whole-run truthful
-across backends.
+across backends.  The :class:`Tracer`'s event list is the one record:
+the flight-recorder ledger, the Chrome export and the phase profile's
+wall half are all views of it.
 
 The :class:`Observer` base class is a null object — hooks threaded
 through :class:`~repro.core.pap.ParallelAutomataProcessor`, the
@@ -26,10 +28,7 @@ event buffer cost near-zero until a :class:`Tracer` is attached::
 
 from repro.obs.chrome import export_chrome_trace, validate_chrome_trace
 from repro.obs.phases import (
-    NULL_PHASES,
-    PhaseAccumulator,
     PhaseAccountingError,
-    PhaseRecorder,
     render_phase_profile,
     summarize_run_phases,
     to_folded,
@@ -85,13 +84,10 @@ __all__ = [
     "LEDGER_SCHEMA_VERSION",
     "MetricsRegistry",
     "NULL_OBSERVER",
-    "NULL_PHASES",
     "NULL_REGISTRY",
     "NullMetricsRegistry",
     "Observer",
     "PhaseAccountingError",
-    "PhaseAccumulator",
-    "PhaseRecorder",
     "RecordBatch",
     "RecordingObserver",
     "TraceEvent",

@@ -13,11 +13,16 @@ set of phases in both time domains:
   the residual of the segment clock), and the run-level chain
   ``enumeration_cycles == fold(finish, tcpu) + report`` is re-derived
   and checked by :func:`verify_phase_totals`.
-* **wall** — host ``perf_counter_ns`` accounting captured by a
-  :class:`PhaseAccumulator` hanging off the active observer
-  (``observer.phases``).  The scheduler's hot loop guards every
-  measurement with ``phases.enabled``, so the disabled path costs one
-  attribute check and stays inside the pinned <5% observer budget.
+* **wall** — host ``perf_counter_ns`` accounting read back from the
+  tracer's own events, so the tracer stays the only recorder.  The
+  scheduler adds each segment's per-phase wall up in locals and writes
+  it once, as the ``wall_ns`` end arg of that segment's ``segment[i]``
+  span; composition wall is the duration of the ``compose[i]`` span.
+  The hot loop guards every clock read with ``observer.enabled`` (read
+  once per segment), so the disabled path never touches the clock and
+  stays inside the pinned <5% observer budget.  Only the events from
+  the run's ``run`` span onward count, so a tracer reused across runs
+  attributes each run its own wall.
 
 The phases:
 
@@ -45,7 +50,7 @@ profile (:func:`to_speedscope`, checked by
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+from typing import Any, Sequence
 
 PHASE_TRANSITION = "transition"
 PHASE_SWITCH = "switch"
@@ -62,17 +67,6 @@ CYCLE_PHASES = (
     PHASE_DECODE,
     PHASE_REPORT,
 )
-#: Phases the wall-domain accumulator may carry (a superset is fine —
-#: unknown phases render after the known ones).
-WALL_PHASES = (
-    PHASE_TRANSITION,
-    PHASE_SWITCH,
-    PHASE_CONVERGENCE,
-    PHASE_COMPOSE,
-)
-
-#: Segment index used for run-level (not per-segment) wall phases.
-RUN_SCOPE = -1
 
 PHASES_SCHEMA_VERSION = 1
 
@@ -81,87 +75,52 @@ class PhaseAccountingError(Exception):
     """A phase summary failed its sums-to-totals identity check."""
 
 
-class PhaseRecorder:
-    """Null wall-phase recorder: :meth:`add` is a no-op.
-
-    Hot paths guard the ``perf_counter_ns`` pair with
-    ``if phases.enabled:`` so the disabled path never reads the clock.
-    """
-
-    enabled: bool = False
-
-    def add(self, phase: str, segment: int, wall_ns: int) -> None:
-        """Charge ``wall_ns`` host nanoseconds to ``(segment, phase)``."""
-
-    def items(self) -> tuple[tuple[int, str, int], ...]:
-        """Recorded ``(segment, phase, wall_ns)`` rows, sorted."""
-        return ()
-
-    def totals(self) -> dict[str, int]:
-        """Per-phase wall totals (ns) across all segments."""
-        return {}
-
-
-NULL_PHASES = PhaseRecorder()
-
-
-class PhaseAccumulator(PhaseRecorder):
-    """Recording wall-phase accumulator: a ``(segment, phase)`` -> ns map.
-
-    Deliberately minimal — one dict update per measured region, no
-    event objects — so enabling phase profiling stays cheap even in the
-    TDM loop.
-    """
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self._acc: dict[tuple[int, str], int] = {}
-
-    def add(self, phase: str, segment: int, wall_ns: int) -> None:
-        key = (segment, phase)
-        self._acc[key] = self._acc.get(key, 0) + wall_ns
-
-    def items(self) -> tuple[tuple[int, str, int], ...]:
-        return tuple(
-            (segment, phase, ns)
-            for (segment, phase), ns in sorted(self._acc.items())
-        )
-
-    def totals(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for (_segment, phase), ns in self._acc.items():
-            out[phase] = out.get(phase, 0) + ns
-        return out
-
-    def merge(self, items: Iterable[tuple[int, str, int]]) -> None:
-        """Fold shipped ``(segment, phase, wall_ns)`` rows (e.g. from a
-        worker's :class:`~repro.obs.remote.RecordBatch`) into this
-        accumulator."""
-        for segment, phase, ns in items:
-            self.add(phase, int(segment), int(ns))
-
-
 # -- summarizing a run -----------------------------------------------------
 
 
-def summarize_run_phases(result: Any, wall: PhaseRecorder | None = None) -> dict:
+def _wall_rows(events: Sequence[Any]) -> dict[int, dict[str, int]]:
+    """Per-segment wall phases from a run's trace events.
+
+    A ``segment[i]`` span contributes the ``wall_ns`` dict of its end
+    args (absent on an attempt that never finished); a finished
+    ``compose[i]`` span contributes its duration as ``compose``.
+    Spans repeated for one segment (a retried attempt) add up.
+    """
+    rows: dict[int, dict[str, int]] = {}
+    for event in events:
+        name = event.name
+        if name.startswith("segment["):
+            wall = event.args.get("wall_ns") if event.args else None
+            if not isinstance(wall, dict):
+                continue
+            phases = wall.items()
+        elif name.startswith("compose[") and event.wall_end_ns is not None:
+            phases = ((PHASE_COMPOSE, event.wall_duration_ns),)
+        else:
+            continue
+        row = rows.setdefault(int(name[name.index("[") + 1 : -1]), {})
+        for phase, ns in phases:
+            row[phase] = row.get(phase, 0) + ns
+    return rows
+
+
+def summarize_run_phases(result: Any, events: Sequence[Any] = ()) -> dict:
     """Build the ``PAPRunResult.extra["phases"]`` payload.
 
     ``result`` is a :class:`~repro.core.metrics.PAPRunResult` (typed as
     ``Any`` to keep this module import-light).  Cycle attribution comes
-    from the segment metrics; ``wall`` contributes host-nanosecond rows
-    when phase recording was enabled.  The payload is strict-JSON-safe.
+    from the segment metrics; ``events`` — the run's
+    :class:`~repro.obs.tracer.TraceEvent` records, from its ``run``
+    span onward — contribute host-nanosecond rows when a tracer
+    recorded the run.  The payload is strict-JSON-safe.
     """
     from repro.host.reporting import report_processing_cycles
 
-    wall_rows: dict[tuple[int, str], int] = {}
-    if wall is not None and wall.enabled:
-        for segment, phase, ns in wall.items():
-            wall_rows[(segment, phase)] = ns
+    wall_rows = _wall_rows(events)
 
     per_segment: list[dict] = []
     cycles: dict[str, int] = {phase: 0 for phase in CYCLE_PHASES}
+    wall_totals: dict[str, int] = {}
     segment_cycles = 0
     for seg_result, tcpu in zip(result.segment_results, result.tcpu_cycles):
         metrics = seg_result.metrics
@@ -175,13 +134,11 @@ def summarize_run_phases(result: Any, wall: PhaseRecorder | None = None) -> dict
             "finish_cycles": metrics.finish_cycles,
             "tcpu_cycles": tcpu,
         }
-        seg_wall = {
-            phase: ns
-            for (seg, phase), ns in wall_rows.items()
-            if seg == index
-        }
+        seg_wall = wall_rows.get(index)
         if seg_wall:
             entry["wall_ns"] = dict(sorted(seg_wall.items()))
+            for phase, ns in seg_wall.items():
+                wall_totals[phase] = wall_totals.get(phase, 0) + ns
         per_segment.append(entry)
         cycles[PHASE_TRANSITION] += metrics.symbol_cycles
         cycles[PHASE_SWITCH] += metrics.context_switch_cycles
@@ -204,9 +161,6 @@ def summarize_run_phases(result: Any, wall: PhaseRecorder | None = None) -> dict
         "hot_phase": hot_phase(cycles),
         "per_segment": per_segment,
     }
-    wall_totals = {}
-    if wall is not None and wall.enabled:
-        wall_totals = wall.totals()
     if wall_totals:
         payload["wall_ns"] = dict(sorted(wall_totals.items()))
     return payload

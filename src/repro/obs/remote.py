@@ -2,8 +2,8 @@
 
 The process backend runs each segment in a spawned worker whose
 scheduler would otherwise execute under the null observer — every
-worker-side span, flow event, metric, and phase cost invisible to the
-parent's ledger.  This module closes that gap with a ship-don't-stream
+worker-side span, flow event, and metric invisible to the parent's
+ledger.  This module closes that gap with a ship-don't-stream
 design (workers have no handle on the parent's ledger file, and
 cross-process streaming would serialize the hot loop on a pipe):
 
@@ -11,9 +11,11 @@ cross-process streaming would serialize the hot loop on a pipe):
   a worker attaches to its cached scheduler for the duration of one
   task.  Everything it captures is plain data.
 * :class:`RecordBatch` — the pickle-safe container shipped back inside
-  ``SegmentTaskResult``: the events, a metrics snapshot, wall-phase
-  rows, and the worker's one-slot scheduler-cache behaviour
-  (compile hit/miss + compile wall).
+  ``SegmentTaskResult``: the events, a metrics snapshot, and the
+  worker's one-slot scheduler-cache behaviour (compile hit/miss +
+  compile wall).  A worker's wall-phase split travels inside its
+  ``segment[i]`` span's end args, so the phase profile of a process
+  run reads the merged spans like a serial one.
 * :func:`merge_batch` — the parent-side fold: re-base worker
   ``perf_counter_ns`` timestamps into the parent's clock domain
   (the domains are *not* comparable across processes), land events on
@@ -69,8 +71,6 @@ class RecordBatch:
     events: tuple[TraceEvent, ...]
     metrics: dict = field(default_factory=dict)
     """``MetricsRegistry.snapshot()`` of the worker-side registry."""
-    phases: tuple[tuple[int, str, int], ...] = ()
-    """Wall-phase rows ``(segment, phase, wall_ns)``."""
     compile_hit: bool = False
     """Whether the one-slot scheduler cache served this task."""
     compile_wall_ns: int = 0
@@ -88,7 +88,7 @@ class RecordBatch:
 class RecordingObserver(Tracer):
     """The observer a worker attaches to its cached scheduler.
 
-    An ordinary :class:`Tracer` (events, metrics, wall phases) plus
+    An ordinary :class:`Tracer` (events and metrics) plus
     :meth:`to_batch`, which seals the capture into a pickle-safe
     :class:`RecordBatch`.  Workers create one per task: batches stay
     small (one segment's records) and carry an unambiguous capture
@@ -114,7 +114,6 @@ class RecordingObserver(Tracer):
             wall_end_ns=self.clock(),
             events=tuple(self.events),
             metrics=self.metrics.snapshot(),
-            phases=self.phases.items(),
             compile_hit=compile_hit,
             compile_wall_ns=compile_wall_ns,
             compile_hits=compile_hits,
@@ -233,5 +232,3 @@ def merge_batch(
         metrics.histogram("worker.compile_wall_ms").observe(
             batch.compile_wall_ns / 1e6
         )
-    if tracer.phases.enabled and batch.phases:
-        tracer.phases.merge(batch.phases)

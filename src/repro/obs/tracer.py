@@ -22,9 +22,14 @@ Three record kinds cover the architecture's dynamics:
 :class:`Observer` is the **null object**: the base class's hooks are
 all no-ops and ``enabled`` is ``False``, so production code threads an
 observer unconditionally and pays (nearly) nothing when tracing is
-off.  :class:`Tracer` is the recording subclass; its event list feeds
-the Chrome trace-event exporter (:mod:`repro.obs.chrome`) and the text
-profiler (:mod:`repro.obs.profile`).
+off.  :class:`Tracer` is the recording subclass and the only recorder
+in :mod:`repro.obs`; every view derives from its event list: the
+Chrome trace-event exporter (:mod:`repro.obs.chrome`), the text
+profiler (:mod:`repro.obs.profile`), the phase profile's wall half
+(:mod:`repro.obs.phases` reads ``segment[i]`` span args and
+``compose[i]`` span durations), and the flight-recorder ledger
+(:mod:`repro.obs.telemetry` overrides the one record hook, ``_record``,
+that every recording hook calls).
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from repro.obs.metrics import (
     NULL_REGISTRY,
     NullMetricsRegistry,
 )
-from repro.obs.phases import NULL_PHASES, PhaseAccumulator, PhaseRecorder
 
 TRACK_RUN = "run"
 TRACK_HOST = "host"
@@ -93,11 +97,6 @@ class Observer:
 
     enabled: bool = False
     metrics: MetricsRegistry = NULL_REGISTRY
-    #: Wall-domain phase accumulator (:mod:`repro.obs.phases`); the
-    #: null recorder's ``add`` is a no-op and ``enabled`` is ``False``,
-    #: so the scheduler's hot loop pays one attribute check when phase
-    #: profiling is off.
-    phases: PhaseRecorder = NULL_PHASES
     #: Correlation id threaded into dispatch spans and health records;
     #: only the flight recorder (:mod:`repro.obs.telemetry`) sets one.
     run_id: str | None = None
@@ -175,7 +174,7 @@ class Observer:
         segment: int | None = None,
     ) -> None:
         """Merge a worker-shipped :class:`~repro.obs.remote.RecordBatch`
-        into this observer's timeline, metrics, and phase accounting.
+        into this observer's timeline and metrics.
 
         ``span`` is the handle of the parent ``dispatch[i]`` span the
         batch is parented under; ``segment`` the segment index it ran.
@@ -224,7 +223,6 @@ class Tracer(Observer):
         self.clock = clock if clock is not None else time.perf_counter_ns
         self.events: list[TraceEvent] = []
         self.metrics = MetricsRegistry()
-        self.phases = PhaseAccumulator()
         self._open_stacks: dict[str, list[int]] = {}
 
     # -- recording hooks -------------------------------------------------
@@ -250,6 +248,10 @@ class Tracer(Observer):
         handle = len(self.events)
         self.events.append(event)
         stack.append(handle)
+        self._record(
+            "span-begin", name, track=track, cycle=cycle, args=args,
+            span=handle,
+        )
         return handle
 
     def end_span(
@@ -273,6 +275,10 @@ class Tracer(Observer):
         if stack and handle in stack:
             # LIFO in the common case; tolerate out-of-order closes.
             stack.remove(handle)
+        self._record(
+            "span-end", event.name, track=event.track, cycle=cycle,
+            args=args, span=handle,
+        )
 
     def complete_span(
         self,
@@ -297,6 +303,13 @@ class Tracer(Observer):
                 depth=len(self._open_stacks.get(track, ())),
             )
         )
+        merged = dict(args) if args else {}
+        if cycle_end is not None:
+            merged["cycle_end"] = cycle_end
+        self._record(
+            "span", name, track=track, cycle=cycle_start,
+            args=merged or None,
+        )
 
     def instant(
         self,
@@ -317,6 +330,7 @@ class Tracer(Observer):
                 depth=len(self._open_stacks.get(track, ())),
             )
         )
+        self._record("instant", name, track=track, cycle=cycle, args=args)
 
     def counter(
         self,
@@ -336,6 +350,27 @@ class Tracer(Observer):
                 value=value,
             )
         )
+        self._record("counter", name, track=track, cycle=cycle, value=value)
+
+    def _record(
+        self,
+        kind: str,
+        name: str,
+        *,
+        track: str = TRACK_RUN,
+        cycle: int | None = None,
+        value: float | None = None,
+        args: dict[str, Any] | None = None,
+        span: int | None = None,
+    ) -> None:
+        """One ledger line per recorded event; a no-op here.
+
+        Every recording hook calls it after storing its event, with the
+        line's record kind (``span-begin`` / ``span-end`` / ``span`` /
+        ``instant`` / ``counter``).  The flight recorder
+        (:mod:`repro.obs.telemetry`) overrides it to stamp and stream
+        the line.
+        """
 
     # -- worker-batch ingestion ------------------------------------------
 
@@ -351,8 +386,7 @@ class Tracer(Observer):
         Worker events land on per-pid tracks (``pid{pid}:{track}``)
         with wall timestamps re-based into the parent's clock domain,
         parented under the dispatch span ``span``; worker metrics fold
-        into the registry prefixed ``worker.``; worker wall-phase rows
-        fold into :attr:`phases`.  Implemented in
+        into the registry prefixed ``worker.``.  Implemented in
         :mod:`repro.obs.remote` (imported lazily — only process-backend
         runs pay for it).
         """
@@ -361,9 +395,28 @@ class Tracer(Observer):
         merge_batch(self, batch, span=span, segment=segment)
 
     def _ingest_event(self, event: TraceEvent) -> None:
-        """Append one re-based worker event.  The flight recorder
-        overrides this to also stream the record to its ledger."""
+        """Append one re-based worker event and record its ledger line.
+
+        Worker spans arrive already complete (the worker sealed its
+        batch after the segment finished), so they map onto the
+        ``span`` record kind — the one :meth:`complete_span` uses —
+        with the cycle end and the span's wall duration as args;
+        instants and counters keep their own kinds.  The
+        event's args already carry the worker lineage (``pid``,
+        ``parent_span``, ``run``) added by
+        :func:`repro.obs.remote.merge_batch`.
+        """
         self.events.append(event)
+        args = dict(event.args) if event.args else {}
+        if event.kind == SPAN:
+            if event.cycle_end is not None:
+                args["cycle_end"] = event.cycle_end
+            if event.wall_duration_ns is not None:
+                args["wall_ns"] = event.wall_duration_ns
+        self._record(
+            event.kind, event.name, track=event.track,
+            cycle=event.cycle_start, value=event.value, args=args or None,
+        )
 
     # -- introspection & export ------------------------------------------
 

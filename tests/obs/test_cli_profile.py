@@ -96,3 +96,9 @@ class TestProfileCommand:
         process = json.loads(capsys.readouterr().out)
         assert process["cycles"] == serial["cycles"]
         assert process["accounted_cycles"] == serial["accounted_cycles"]
+        # Wall rows: serial from the parent's own segment spans, process
+        # from the worker spans merged into the parent's tracer.
+        for profile in (serial, process):
+            assert profile["wall_ns"]["transition"] > 0
+            for entry in profile["per_segment"]:
+                assert "transition" in entry["wall_ns"]

@@ -3,18 +3,19 @@
 The load-bearing property is exactness: per-phase cycle totals are not
 sampled estimates but re-derivations of the scheduler's own accounting,
 so they must sum to the run's totals to the cycle — on every workload
-in the evaluation suite.  Wall-phase capture rides the observer and is
-only checked for presence/consistency (host time is noise).
+in the evaluation suite.  Wall phases are read back from the tracer's
+spans and only checked for presence/consistency (host time is noise).
 """
 
 import json
+from itertools import count
 
 import pytest
 
+from repro.core.pap import ParallelAutomataProcessor
 from repro.obs import Tracer
 from repro.obs.phases import (
     CYCLE_PHASES,
-    NULL_PHASES,
     PHASE_COMPOSE,
     PHASE_CONVERGENCE,
     PHASE_DECODE,
@@ -22,7 +23,6 @@ from repro.obs.phases import (
     PHASE_SWITCH,
     PHASE_TRANSITION,
     PhaseAccountingError,
-    PhaseAccumulator,
     hot_phase,
     render_phase_profile,
     summarize_run_phases,
@@ -42,31 +42,6 @@ def snort_run():
     return run_benchmark(
         bench, trace_bytes=8192, trace_seed=1, observer=Tracer()
     )
-
-
-class TestPhaseAccumulator:
-    def test_null_recorder_is_disabled_and_inert(self):
-        assert NULL_PHASES.enabled is False
-        NULL_PHASES.add(PHASE_TRANSITION, 0, 123)
-        assert NULL_PHASES.items() == ()
-        assert NULL_PHASES.totals() == {}
-
-    def test_accumulates_per_segment_and_phase(self):
-        acc = PhaseAccumulator()
-        acc.add(PHASE_TRANSITION, 0, 10)
-        acc.add(PHASE_TRANSITION, 0, 5)
-        acc.add(PHASE_SWITCH, 1, 7)
-        assert acc.items() == (
-            (0, PHASE_TRANSITION, 15),
-            (1, PHASE_SWITCH, 7),
-        )
-        assert acc.totals() == {PHASE_TRANSITION: 15, PHASE_SWITCH: 7}
-
-    def test_merge_folds_shipped_rows(self):
-        acc = PhaseAccumulator()
-        acc.add(PHASE_TRANSITION, 0, 1)
-        acc.merge([(0, PHASE_TRANSITION, 2), (2, PHASE_COMPOSE, 3)])
-        assert acc.totals() == {PHASE_TRANSITION: 3, PHASE_COMPOSE: 3}
 
 
 class TestHotPhase:
@@ -107,6 +82,46 @@ class TestSummarize:
         phases = run.pap.phases
         assert "wall_ns" not in phases
         assert all("wall_ns" not in e for e in phases["per_segment"])
+
+    def test_wall_rows_read_from_span_args_and_durations(self, snort_run):
+        """Segment wall is the ``wall_ns`` end arg of each finished
+        ``segment[i]`` span (retries add up, an abandoned attempt adds
+        nothing); compose wall is the ``compose[i]`` span duration."""
+        tracer = Tracer(clock=count(0, 10).__next__)
+        tracer.begin_span("segment[0]", track="seg0")  # never finished
+        done = tracer.begin_span("segment[0]", track="seg0")
+        tracer.end_span(done, args={"wall_ns": {PHASE_TRANSITION: 5}})
+        for wall in ({PHASE_TRANSITION: 3, PHASE_SWITCH: 2},
+                     {PHASE_TRANSITION: 4}):
+            span = tracer.begin_span("segment[1]", track="pid7:seg1")
+            tracer.end_span(span, args={"wall_ns": wall})
+        tracer.end_span(tracer.begin_span("compose[1]", track="host"))
+        phases = summarize_run_phases(snort_run.pap, tracer.events)
+        rows = [entry.get("wall_ns") for entry in phases["per_segment"]]
+        assert rows[0] == {PHASE_TRANSITION: 5}
+        assert rows[1] == {
+            PHASE_COMPOSE: 10, PHASE_SWITCH: 2, PHASE_TRANSITION: 7,
+        }
+        assert rows[2:] == [None] * (len(rows) - 2)
+        assert phases["wall_ns"] == {
+            PHASE_COMPOSE: 10, PHASE_SWITCH: 2, PHASE_TRANSITION: 12,
+        }
+        assert phases["cycles"] == snort_run.pap.phases["cycles"]
+
+    def test_reused_tracer_reports_only_its_own_run(self):
+        """One tracer observing two runs: the second run's wall rows
+        come from its own spans, so they sum exactly to its totals."""
+        bench = build_benchmark("Snort", scale=0.05, seed=0)
+        pap = ParallelAutomataProcessor(bench.automaton, observer=Tracer())
+        first = pap.run(bench.trace(40_960, 1))
+        assert first.num_segments > 1
+        second = pap.run(b"abcdef")
+        phases = second.phases
+        summed: dict[str, int] = {}
+        for entry in phases["per_segment"]:
+            for phase, ns in entry["wall_ns"].items():
+                summed[phase] = summed.get(phase, 0) + ns
+        assert summed == phases["wall_ns"]
 
     def test_summary_is_strict_json(self, snort_run):
         payload = json.dumps(snort_run.pap.phases, allow_nan=False)

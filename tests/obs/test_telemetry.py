@@ -348,3 +348,104 @@ def test_ledger_round_trips_under_fault_injection(
     assert all(r["v"] == LEDGER_SCHEMA_VERSION for r in records)
     parsed = read_ledger(str(path))
     assert len(parsed) == len(records)
+
+
+def test_ledger_records_are_pinned_field_by_field():
+    """Every recording hook's exact ledger line under a counting clock.
+
+    The tracer stamps its event first and the ledger line second, so
+    each hook that reads the clock advances it twice; a stale or
+    never-opened handle writes nothing and reads no clock.  Worker
+    records are re-based and streamed as ``span``/``instant``/
+    ``counter`` lines carrying their lineage.
+    """
+    from itertools import count
+
+    from repro.obs import RecordBatch
+    from repro.obs.tracer import TraceEvent
+
+    recorder = FlightRecorder(run_id="feed0001", clock=count().__next__)
+    outer = recorder.begin_span("outer", cycle=0, args={"k": 1})
+    inner = recorder.begin_span("inner", track="host")
+    recorder.end_span(inner, cycle=5, args={"x": 2})
+    recorder.end_span(inner)  # stale: already closed
+    recorder.end_span(99)  # never opened
+    recorder.end_span(outer, cycle=7)
+    recorder.complete_span(
+        "decode[0]", track="host", cycle_start=3, cycle_end=9,
+        args={"flows": 2},
+    )
+    recorder.instant("flow-spawn", cycle=4, args={"ratio": float("nan")})
+    recorder.counter("active_flows", 3, track="seg1", cycle=6)
+    dispatch = recorder.begin_span("dispatch[1]", track="exec")
+    recorder.end_span(dispatch)
+    batch = RecordBatch(
+        pid=42,
+        wall_start_ns=100,
+        wall_end_ns=200,
+        events=(
+            TraceEvent(
+                kind="span", name="segment[1]", track="seg1",
+                wall_start_ns=110, wall_end_ns=190, cycle_start=0,
+                cycle_end=50, args={"kind": "enumerated"},
+            ),
+            TraceEvent(
+                kind="instant", name="flow-converge", track="seg1",
+                wall_start_ns=150, cycle_start=20, args={"flow": 3},
+            ),
+            TraceEvent(
+                kind="counter", name="active_flows", track="seg1",
+                wall_start_ns=160, cycle_start=30, value=2.0,
+            ),
+        ),
+    )
+    recorder.ingest_worker_batch(batch, span=dispatch, segment=1)
+
+    assert (outer, inner, dispatch) == (0, 1, 5)
+    lineage = {"pid": 42, "parent_span": dispatch, "run": "feed0001"}
+    expected = [
+        {"seq": 0, "ts": 0, "kind": "open", "name": "ledger",
+         "args": {"schema_version": LEDGER_SCHEMA_VERSION}},
+        {"seq": 1, "ts": 2, "kind": "span-begin", "name": "outer",
+         "span": 0, "cycle": 0, "args": {"k": 1}},
+        {"seq": 2, "ts": 4, "kind": "span-begin", "name": "inner",
+         "track": "host", "span": 1},
+        {"seq": 3, "ts": 6, "kind": "span-end", "name": "inner",
+         "track": "host", "span": 1, "cycle": 5, "args": {"x": 2}},
+        {"seq": 4, "ts": 8, "kind": "span-end", "name": "outer",
+         "span": 0, "cycle": 7},
+        {"seq": 5, "ts": 10, "kind": "span", "name": "decode[0]",
+         "track": "host", "cycle": 3,
+         "args": {"flows": 2, "cycle_end": 9}},
+        {"seq": 6, "ts": 12, "kind": "instant", "name": "flow-spawn",
+         "cycle": 4, "args": {"ratio": None}},
+        {"seq": 7, "ts": 14, "kind": "counter", "name": "active_flows",
+         "track": "seg1", "cycle": 6, "value": 3},
+        {"seq": 8, "ts": 16, "kind": "span-begin", "name": "dispatch[1]",
+         "track": "exec", "span": 5},
+        {"seq": 9, "ts": 18, "kind": "span-end", "name": "dispatch[1]",
+         "track": "exec", "span": 5},
+        {"seq": 10, "ts": 19, "kind": "span", "name": "segment[1]",
+         "track": "pid42:seg1", "cycle": 0,
+         "args": {"kind": "enumerated", **lineage, "cycle_end": 50,
+                  "wall_ns": 80}},
+        {"seq": 11, "ts": 20, "kind": "instant", "name": "flow-converge",
+         "track": "pid42:seg1", "cycle": 20,
+         "args": {"flow": 3, **lineage}},
+        {"seq": 12, "ts": 21, "kind": "counter", "name": "active_flows",
+         "track": "pid42:seg1", "cycle": 30, "value": 2.0,
+         "args": lineage},
+        {"seq": 13, "ts": 23, "kind": "instant", "name": "worker-batch",
+         "track": "pid42:task",
+         "args": {**lineage, "segment": 1, "records": 3,
+                  "worker_wall_ms": 0.0, "compile_hit": False,
+                  "compile_wall_ms": 0.0, "compile_hits": 0,
+                  "compile_misses": 0}},
+    ]
+    for record in expected:
+        record.update(v=LEDGER_SCHEMA_VERSION, run="feed0001")
+    assert list(recorder.ring) == expected
+    # The re-based worker span sits inside the dispatch span's window.
+    segment = recorder.events[6]
+    assert (segment.wall_start_ns, segment.wall_end_ns) == (-73, 7)
+    assert recorder.events[-1].wall_start_ns == 22
